@@ -64,7 +64,6 @@ class RunConfig:
     constraints: ConstraintSet
     rules: list[PredicateRule]
     lexicon: Lexicon
-    max_hops: int
     abstain_on_no_claims: bool
 
 
@@ -104,7 +103,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         constraints=_load_constraints(args.constraints),
         rules=_load_rules(args.rules),
         lexicon=lexicon,
-        max_hops=args.max_hops,
         abstain_on_no_claims=(args.no_claims == "abstain"),
     )
 
@@ -165,7 +163,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
             generator,
             config.lexicon,
             config.rules,
-            max_hops=config.max_hops,
+            max_hops=args.max_hops,
             abstain_on_no_claims=config.abstain_on_no_claims,
         )
     except GeneratorError as exc:
@@ -202,7 +200,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             factory,
             config.lexicon,
             config.rules,
-            max_hops=config.max_hops,
+            max_hops=args.max_hops,
             jobs=args.jobs,
             abstain_on_no_claims=config.abstain_on_no_claims,
         )
@@ -216,79 +214,83 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # --- argument plumbing ----------------------------------------------------------
 
 
+class _Repeatable(argparse.Action):
+    """Like action="append", except that the first flag replaces the default
+    list instead of extending it, so flags beat a config-file list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        if items is self.default:
+            items = []
+        setattr(namespace, self.dest, [*items, values])
+
+
 def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
     parser.add_argument("--graph", required=True, help="N-Triples graph file")
-    parser.add_argument(
-        "--constraints", required=True, help="constraint manifest file"
-    )
+    parser.add_argument("--constraints", required=True, help="constraint manifest file")
     if rules:
         parser.add_argument("--rules", required=True, help="predicate rule file")
         parser.add_argument(
             "--label-predicate",
-            action="append",
-            default=None,
+            action=_Repeatable,
+            default=["label"],
             help="label predicate IRI for the lexicon (repeatable; default: label)",
         )
-        parser.add_argument("--max-hops", type=int, default=None)
+        parser.add_argument("--max-hops", type=int, default=3)
         parser.add_argument(
             "--no-claims",
             choices=("abstain", "answer"),
-            default=None,
+            default="abstain",
             help="policy when a response contains no extractable claims",
         )
+        parser.add_argument("--generator", choices=("mock", "http"), default="mock")
         parser.add_argument(
-            "--generator", choices=("mock", "http"), default=None
-        )
-        parser.add_argument(
-            "--mock-mode", choices=("echo", "fixed", "noisy"), default=None
+            "--mock-mode", choices=("echo", "fixed", "noisy"), default="echo"
         )
         parser.add_argument("--answer", default=None, help="mock answer sentence")
-        parser.add_argument("--p-correct", type=float, default=None)
-        parser.add_argument("--p-hallucinate", type=float, default=None)
-        parser.add_argument("--seed", type=int, default=None)
+        parser.add_argument("--p-correct", type=float, default=0.0)
+        parser.add_argument("--p-hallucinate", type=float, default=0.0)
+        parser.add_argument("--seed", type=int, default=0)
         parser.add_argument("--endpoint", default=None, help="chat completion URL")
-        parser.add_argument("--model", default=None)
-        parser.add_argument("--api-key-env", default=None)
-        parser.add_argument("--timeout", type=float, default=None)
-        parser.add_argument("--retries", type=int, default=None)
+        parser.add_argument("--model", default="")
+        parser.add_argument("--api-key-env", default="FACTGATE_API_KEY")
+        parser.add_argument("--timeout", type=float, default=30.0)
+        parser.add_argument("--retries", type=int, default=2)
 
 
-_DEFAULTS = {
-    "label_predicate": ["label"],
-    "max_hops": 3,
-    "no_claims": "abstain",
-    "generator": "mock",
-    "mock_mode": "echo",
-    "p_correct": 0.0,
-    "p_hallucinate": 0.0,
-    "seed": 0,
-    "model": "",
-    "api_key_env": "FACTGATE_API_KEY",
-    "timeout": 30.0,
-    "retries": 2,
-    "jobs": 1,
-}
+def _flag_value(action: argparse.Action, value: object) -> object:
+    """A config value read exactly as the same text after its flag would be."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"expected a string or a number, got {value!r}")
+    converted = action.type(str(value)) if action.type else str(value)
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"{value!r} is not one of {sorted(action.choices)}")
+    return converted
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Layer settings: flags beat the config file, which beats defaults."""
-    file_values: dict = {}
-    if getattr(args, "config", None):
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The settings of a JSON config file, each checked as its flag's value,
+    to become the parser's defaults: flags beat the file, which beats those."""
+    try:
+        values = json.loads(_read_text(path, "config file"))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"config {path!r}: bad JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise CliError(f"config {path!r}: expected a JSON object")
+    flags = {a.dest: a for a in parser._actions if a.option_strings}
+    defaults = {}
+    for key, value in values.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None or action.dest in ("help", "config"):
+            raise CliError(f"config {path!r}: unknown setting {key!r}")
+        repeated = isinstance(action, _Repeatable)
+        items = value if repeated and isinstance(value, list) else [value]
         try:
-            file_values = json.loads(_read_text(args.config, "config file"))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config {args.config!r}: bad JSON: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise CliError(f"config {args.config!r}: expected a JSON object")
-    for key, value in file_values.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise CliError(f"config {args.config!r}: unknown setting {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-    for key, value in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+            checked = [_flag_value(action, v) for v in items]
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"config {path!r}: bad {key!r}: {exc}") from exc
+        defaults[action.dest] = checked if repeated else checked[0]
+    return defaults
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("baseline", "context_only", "oracle"),
     )
-    p_eval.add_argument("--jobs", type=int, default=None)
+    p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.add_argument("--output", default=None, help="result log JSONL path")
     p_eval.add_argument(
         "--from-log", default=None, help="re-score an existing result log"
@@ -338,12 +340,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     try:
-        _apply_config_file(args)
+        if getattr(args, "config", None):
+            (commands,) = [
+                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            ]
+            command = commands.choices[args.command]
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -378,7 +378,7 @@ def validate_claim(
     runs; only violations focused on the claim's subject, or citing the
     claim itself, are attributed to it.
     """
-    augmented = Graph.from_triples(list(graph.triples) + [claim_triple])
+    augmented = Graph(list(graph.triples) + [claim_triple])
     report = validate_graph(augmented, constraints)
     return [
         v

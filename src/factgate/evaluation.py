@@ -28,7 +28,12 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .constraints import ConstraintSet
-from .extraction import Lexicon, PredicateRule, link_question_entities
+from .extraction import (
+    NUMBER_TOKEN_RE,
+    Lexicon,
+    PredicateRule,
+    link_question_entities,
+)
 from .gate import AbstainReason, Verdict, run_pipeline
 from .generators import GeneratorError, GeneratorFn, MockBehavior, mock_generator
 from .kg import (
@@ -229,15 +234,12 @@ def read_result_log(path: str | Path) -> list[ResultRecord]:
 # --- grading -------------------------------------------------------------------
 
 
-_NUM_TOKEN_RE = re.compile(r"[+-]?(?:\d+\.\d+|\d+|\.\d+)")
-
-
 def _canonical_number(token: str) -> str:
     return format(Decimal(token).normalize(), "f")
 
 
 def _normalize_answer(text: str) -> str:
-    lowered = _NUM_TOKEN_RE.sub(lambda m: _canonical_number(m.group(0)), text.lower())
+    lowered = NUMBER_TOKEN_RE.sub(lambda m: _canonical_number(m.group(0)), text.lower())
     return re.sub(r"\s+", " ", lowered).strip()
 
 

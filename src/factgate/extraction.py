@@ -14,8 +14,9 @@ extract_claims signature, so a learned extractor can replace this one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .kg import (
@@ -28,7 +29,8 @@ from .kg import (
     parse_decimal,
 )
 
-_NUMBER_PATTERN = r"[+-]?(?:\d+\.\d+|\d+|\.\d+)"
+# A plain decimal number token in free text (no exponent, no trailing dot).
+NUMBER_TOKEN_RE = re.compile(r"[+-]?(?:\d+\.\d+|\d+|\.\d+)")
 _SLOT_RE = re.compile(r"\b(SUBJ|OBJ)\b")
 _WORD_BOUNDARY_L = r"(?<![0-9A-Za-z_])"
 _WORD_BOUNDARY_R = r"(?![0-9A-Za-z_])"
@@ -98,10 +100,18 @@ def local_name(iri: Iri) -> str:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Lowercased surface-form → entity map built from graph labels."""
+    """Lowercased surface-form → entity map built from graph labels.
+
+    The alias alternation and the regexes built on it are compiled on
+    first use and kept for the lexicon's lifetime, so `alias_to_iri` must
+    not change once the lexicon is in use.
+    """
 
     alias_to_iri: dict[str, Iri]
     conflicts: tuple[LexiconConflict, ...] = ()
+    _rule_regexes: dict[PredicateRule, re.Pattern[str] | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def resolve(self, surface: str) -> Iri | None:
         return self.alias_to_iri.get(_normalize_alias(surface))
@@ -109,7 +119,8 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.alias_to_iri)
 
-    def alias_regex_fragment(self) -> str | None:
+    @cached_property
+    def _alias_alternation(self) -> str | None:
         """Alternation over all aliases, longest first, spaces matching any
         whitespace run. None when the lexicon is empty."""
         if not self.alias_to_iri:
@@ -120,6 +131,21 @@ class Lexicon:
             chunks = [re.escape(c) for c in alias.split(" ")]
             parts.append(r"\s+".join(chunks))
         return "|".join(parts)
+
+    @cached_property
+    def _mention_regex(self) -> re.Pattern[str] | None:
+        aliases = self._alias_alternation
+        if aliases is None:
+            return None
+        return re.compile(
+            _WORD_BOUNDARY_L + f"(?:{aliases})" + _WORD_BOUNDARY_R, re.IGNORECASE
+        )
+
+    def _rule_regex(self, rule: PredicateRule) -> re.Pattern[str] | None:
+        if rule not in self._rule_regexes:
+            # Threads racing here compile equal regexes; whichever lands is right.
+            self._rule_regexes[rule] = _compile_rule(rule, self._alias_alternation)
+        return self._rule_regexes[rule]
 
 
 def build_lexicon(graph: Graph, label_predicates: Sequence[Iri]) -> Lexicon:
@@ -163,8 +189,7 @@ def build_lexicon(graph: Graph, label_predicates: Sequence[Iri]) -> Lexicon:
     return Lexicon(entries, tuple(conflicts))
 
 
-def _compile_rule(rule: PredicateRule, lexicon: Lexicon) -> re.Pattern[str] | None:
-    aliases = lexicon.alias_regex_fragment()
+def _compile_rule(rule: PredicateRule, aliases: str | None) -> re.Pattern[str] | None:
     if aliases is None:
         return None
     pieces: list[str] = []
@@ -173,7 +198,7 @@ def _compile_rule(rule: PredicateRule, lexicon: Lexicon) -> re.Pattern[str] | No
             pieces.append(f"(?P<subj>{aliases})")
         elif part == "OBJ":
             if rule.object_kind == "numeric":
-                pieces.append(f"(?P<obj>{_NUMBER_PATTERN})")
+                pieces.append(f"(?P<obj>{NUMBER_TOKEN_RE.pattern})")
             else:
                 pieces.append(f"(?P<obj>{aliases})")
         else:
@@ -198,7 +223,7 @@ def extract_claims(
     """
     claims: list[Claim] = []
     for rule in rules:
-        rx = _compile_rule(rule, lexicon)
+        rx = lexicon._rule_regex(rule)
         if rx is None:
             continue
         for m in rx.finditer(text):
@@ -227,12 +252,9 @@ def extract_claims(
 
 def link_question_entities(question: str, lexicon: Lexicon) -> set[Iri]:
     """Entities mentioned in a question, longest alias winning on overlaps."""
-    aliases = lexicon.alias_regex_fragment()
-    if aliases is None:
+    rx = lexicon._mention_regex
+    if rx is None:
         return set()
-    rx = re.compile(
-        _WORD_BOUNDARY_L + f"(?:{aliases})" + _WORD_BOUNDARY_R, re.IGNORECASE
-    )
     found: set[Iri] = set()
     for m in rx.finditer(question):
         iri = lexicon.resolve(m.group(0))

@@ -110,8 +110,7 @@ def run_pipeline(
     a failed run is not an abstention.
     """
     seeds = link_question_entities(question, lexicon)
-    subgraph = retrieve_subgraph(graph, seeds, max_hops)
-    context = serialize_ntriples(subgraph)
+    context = serialize_ntriples(retrieve_subgraph(graph, seeds, max_hops))
     response = generator(question, context)
     claims = extract_claims(response, lexicon, rules)
     audits = tuple(audit_claim(graph, constraints, c) for c in claims)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import random
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -20,14 +19,17 @@ from typing import Callable, Sequence
 
 import requests
 
-from .extraction import PredicateRule, rule_for_triple, verbalize_triple
-from .kg import decimal_lexical, parse_ntriples
+from .extraction import (
+    NUMBER_TOKEN_RE,
+    PredicateRule,
+    rule_for_triple,
+    verbalize_triple,
+)
+from .kg import decimal_lexical, iter_ntriples
 
 GeneratorFn = Callable[[str, str], str]
 
 PROMPT_TEMPLATE = "CONTEXT:\n{context}\n\nQUESTION:\n{question}"
-
-_NUMBER_TOKEN_RE = re.compile(r"[+-]?(?:\d+\.\d+|\d+|\.\d+)")
 
 NO_CLAIM_TEXT = "I have nothing specific to report on that."
 
@@ -103,7 +105,7 @@ def corrupt_number(text: str) -> str:
     unverifiable filler sentence instead, so it can never come back as a
     licensed claim.
     """
-    m = _NUMBER_TOKEN_RE.search(text)
+    m = NUMBER_TOKEN_RE.search(text)
     if m is None:
         return _NO_NUMBER_CORRUPTION
     doubled = decimal_lexical((Decimal(m.group(0)) * 2).normalize())
@@ -111,7 +113,7 @@ def corrupt_number(text: str) -> str:
 
 
 def _echo_context(context: str, rules: Sequence[PredicateRule]) -> str:
-    for triple in parse_ntriples(context):
+    for triple in iter_ntriples(context):
         rule = rule_for_triple(triple, rules)
         if rule is not None:
             return verbalize_triple(triple, rule)
@@ -127,7 +129,9 @@ def generate_mock(
 ) -> str:
     """Deterministic mock generation.
 
-    ECHO_CONTEXT verbalizes the first context triple any rule can render.
+    ECHO_CONTEXT verbalizes the first context line, in text order, that
+    any rule can render; lines after it are not parsed, and a malformed
+    line before it raises ParseError.
     FIXED_ANSWER returns the answer key verbatim. NOISY draws from a stream
     keyed by (seed, question): the answer key with p_correct, a corrupted
     number variant with p_hallucinate, otherwise "I don't know".
@@ -229,6 +233,8 @@ class HttpGenerator:
                 raise UpstreamError(response.status_code, response.text)
             try:
                 text = response.json()["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    raise TypeError(f"content is {type(text).__name__}")
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise UpstreamError(
                     response.status_code, f"malformed completion payload: {exc}"
@@ -237,15 +243,3 @@ class HttpGenerator:
         assert last_error is not None
         raise last_error
 
-
-def generate_http(
-    config: GeneratorConfig,
-    question: str,
-    context: str,
-    transport: Callable[..., "requests.Response"] | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> str:
-    """One-shot HTTP generation; see HttpGenerator for the behavior."""
-    return HttpGenerator(config, transport=transport, sleep=sleep).generate(
-        question, context
-    )

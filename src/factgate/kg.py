@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from enum import Enum
 from typing import IO, Iterable, Iterator
 
@@ -129,37 +129,23 @@ def term_matches(graph_term: Term, query_term: Term) -> bool:
 _LINE_RE = re.compile(r"<([^<>]*)>\s+<([^<>]*)>\s+(.+?)\s*\.\s*$")
 _LITERAL_OBJ_RE = re.compile(r'"((?:[^"\\]|\\.)*)"(?:\^\^<([^<>]*)>)?\Z')
 
+_ESCAPE_SEQ_RE = re.compile(r"\\(.?)", re.DOTALL)
 _UNESCAPE = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-_ESCAPE = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPE = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
 
 _DATATYPE_BY_IRI = {
     XSD_STRING: Datatype.STRING,
     XSD_DECIMAL: Datatype.DECIMAL,
     XSD_INTEGER: Datatype.INTEGER,
 }
-_DATATYPE_IRI = {v: k for k, v in _DATATYPE_BY_IRI.items()}
 
 
-def _unescape(raw: str) -> str:
-    if "\\" not in raw:
-        return raw
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "\\":
-            if i + 1 >= len(raw) or raw[i + 1] not in _UNESCAPE:
-                raise ValueError(f"unsupported escape in literal: {raw!r}")
-            out.append(_UNESCAPE[raw[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def _escape(text: str) -> str:
-    return "".join(_ESCAPE.get(ch, ch) for ch in text)
+def _unescape_one(m: re.Match[str]) -> str:
+    if m.group(1) not in _UNESCAPE:
+        raise ValueError(f"unsupported escape in literal: {m.string!r}")
+    return _UNESCAPE[m.group(1)]
 
 
 def _parse_object(token: str) -> Term:
@@ -168,7 +154,7 @@ def _parse_object(token: str) -> Term:
     m = _LITERAL_OBJ_RE.match(token)
     if m is None:
         raise ValueError(f"malformed object term: {token!r}")
-    lexical = _unescape(m.group(1))
+    lexical = _ESCAPE_SEQ_RE.sub(_unescape_one, m.group(1))
     dt_iri = m.group(2)
     if dt_iri is None:
         # Unsuffixed literals that look like decimals are stored as decimals;
@@ -190,24 +176,31 @@ def parse_ntriples_line(line: str) -> Triple:
     return Triple(Iri(m.group(1)), Iri(m.group(2)), _parse_object(m.group(3)))
 
 
-def parse_ntriples(source: str | IO[str]) -> "Graph":
-    """Parse N-Triples text into a Graph.
+def iter_ntriples(source: str | IO[str]) -> Iterator[Triple]:
+    """Yield the triples of N-Triples text in text order, lazily.
 
-    Blank lines and `#` comment lines are skipped; duplicate triples are
-    deduplicated. Any malformed line aborts the whole parse with a
-    ParseError carrying its line number.
+    Blank lines and `#` comment lines are skipped. A malformed line raises
+    a ParseError carrying its line number when it is reached.
     """
     lines = source.splitlines() if isinstance(source, str) else source
-    triples: list[Triple] = []
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            triples.append(parse_ntriples_line(stripped))
+            triple = parse_ntriples_line(stripped)
         except ValueError as exc:
             raise ParseError(number, str(exc)) from exc
-    return Graph.from_triples(triples)
+        yield triple
+
+
+def parse_ntriples(source: str | IO[str]) -> "Graph":
+    """Parse N-Triples text into a Graph.
+
+    Duplicate triples are deduplicated. Any malformed line aborts the
+    whole parse with a ParseError carrying its line number.
+    """
+    return Graph(iter_ntriples(source))
 
 
 def term_to_ntriples(term: Term) -> str:
@@ -218,7 +211,7 @@ def term_to_ntriples(term: Term) -> str:
     """
     if isinstance(term, Iri):
         return f"<{term.value}>"
-    quoted = f'"{_escape(term.lexical)}"'
+    quoted = f'"{term.lexical.translate(_ESCAPE)}"'
     if term.datatype is Datatype.INTEGER:
         return f"{quoted}^^<{XSD_INTEGER}>"
     if term.datatype is Datatype.STRING and _DECIMAL_RE.match(term.lexical):
@@ -241,9 +234,13 @@ def triple_sort_key(triple: Triple) -> tuple[str, str, str]:
     )
 
 
-def serialize_ntriples(graph: "Graph") -> str:
-    """Serialize a Graph as sorted N-Triples, one triple per line."""
-    lines = [triple_to_ntriples(t) for t in graph]
+def serialize_ntriples(triples: Iterable[Triple]) -> str:
+    """Serialize triples as N-Triples, one per line, in the order given.
+
+    A Graph and retrieve_subgraph's result iterate in sorted order, so
+    either serializes as sorted N-Triples.
+    """
+    lines = [triple_to_ntriples(t) for t in triples]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -253,37 +250,31 @@ def serialize_ntriples(graph: "Graph") -> str:
 class Graph:
     """Immutable indexed triple set.
 
-    Triples are held in sorted order; SPO/POS/OSP indexes back the pattern
-    lookups. All query results are deterministic (sorted) and every lookup
-    is equivalent to a linear scan over the triple set.
+    Triples are held in sorted order. Three indexes, keyed by the terms
+    themselves, back the pattern lookups: subject -> predicate -> triples,
+    predicate -> triples, and IRI node -> incident triples. Every index
+    list is a run of the sorted order, so all query results come out
+    sorted, and every lookup is equivalent to a linear scan.
     """
 
-    __slots__ = ("_triples", "_spo", "_pos", "_osp", "_by_node")
+    __slots__ = ("_triples", "_spo", "_pos", "_adj")
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        ordered = sorted(set(triples), key=triple_sort_key)
-        self._triples: tuple[Triple, ...] = tuple(ordered)
-        spo: dict[str, dict[str, list[Triple]]] = {}
-        pos: dict[str, dict[str, list[Triple]]] = {}
-        osp: dict[str, dict[str, list[Triple]]] = {}
-        by_node: dict[str, list[Triple]] = {}
+        self._triples: tuple[Triple, ...] = tuple(
+            sorted(set(triples), key=triple_sort_key)
+        )
+        spo: dict[Iri, dict[Iri, list[Triple]]] = {}
+        pos: dict[Iri, list[Triple]] = {}
+        adj: dict[Iri, list[Triple]] = {}
         for t in self._triples:
-            s, p = t.subject.value, t.predicate.value
-            o = term_to_ntriples(t.object)
-            spo.setdefault(s, {}).setdefault(p, []).append(t)
-            pos.setdefault(p, {}).setdefault(o, []).append(t)
-            osp.setdefault(o, {}).setdefault(s, []).append(t)
-            by_node.setdefault(s, []).append(t)
-            if isinstance(t.object, Iri) and t.object.value != s:
-                by_node.setdefault(t.object.value, []).append(t)
+            spo.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t)
+            pos.setdefault(t.predicate, []).append(t)
+            adj.setdefault(t.subject, []).append(t)
+            if isinstance(t.object, Iri) and t.object != t.subject:
+                adj.setdefault(t.object, []).append(t)
         self._spo = spo
         self._pos = pos
-        self._osp = osp
-        self._by_node = by_node
-
-    @classmethod
-    def from_triples(cls, triples: Iterable[Triple]) -> "Graph":
-        return cls(triples)
+        self._adj = adj
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -312,10 +303,6 @@ class Graph:
     def predicates(self) -> set[Iri]:
         return {t.predicate for t in self._triples}
 
-    def nodes(self) -> set[str]:
-        """IRI strings appearing in subject or object position."""
-        return set(self._by_node)
-
     def stats_line(self) -> str:
         return (
             f"triples={len(self._triples)} "
@@ -327,26 +314,15 @@ class Graph:
         self, s: Iri | None, p: Iri | None, o: Term | None
     ) -> Iterable[Triple]:
         if s is not None:
-            by_p = self._spo.get(s.value)
-            if by_p is None:
-                return ()
+            by_p = self._spo.get(s, {})
             if p is not None:
-                return by_p.get(p.value, ())
+                return by_p.get(p, ())
+            # Predicates were inserted in sorted order within the subject.
             return (t for ts in by_p.values() for t in ts)
+        if isinstance(o, Iri):
+            return self._adj.get(o, ())
         if p is not None:
-            by_o = self._pos.get(p.value)
-            if by_o is None:
-                return ()
-            if o is not None and not (isinstance(o, Literal) and o.is_numeric):
-                # Exact object keys suffice for IRIs and string literals;
-                # numeric objects need the tolerant filter below.
-                return by_o.get(term_to_ntriples(o), ())
-            return (t for ts in by_o.values() for t in ts)
-        if o is not None and not (isinstance(o, Literal) and o.is_numeric):
-            by_s = self._osp.get(term_to_ntriples(o))
-            if by_s is None:
-                return ()
-            return (t for ts in by_s.values() for t in ts)
+            return self._pos.get(p, ())
         return self._triples
 
     def match(
@@ -360,15 +336,13 @@ class Graph:
         Subject and predicate match byte-equal; a bound object matches per
         term_matches (tolerant for numeric literals).
         """
-        out = [
+        return [
             t
             for t in self._candidates(s, p, o)
             if (s is None or t.subject == s)
             and (p is None or t.predicate == p)
             and (o is None or term_matches(t.object, o))
         ]
-        out.sort(key=triple_sort_key)
-        return out
 
     def find_supporting(self, triple: Triple) -> Triple | None:
         """The first stored triple entailing `triple`, or None."""
@@ -379,48 +353,48 @@ class Graph:
         """Entailment check: membership with tolerant numeric matching."""
         return self.find_supporting(triple) is not None
 
-    def incident(self, node: str) -> list[Triple]:
-        """Triples whose subject or IRI object is the given node."""
-        return self._by_node.get(node, [])
+    def incident(self, node: Iri) -> list[Triple]:
+        """Triples whose subject or IRI object is the given node, sorted."""
+        return self._adj.get(node, [])
 
 
-def retrieve_subgraph(graph: Graph, seeds: Iterable[Iri], max_hops: int) -> Graph:
+def retrieve_subgraph(
+    graph: Graph, seeds: Iterable[Iri], max_hops: int
+) -> tuple[Triple, ...]:
     """Breadth-first subgraph expansion from seed entities.
 
     Hop 1 collects all triples incident to a seed; each later hop expands
     from IRI terms newly reached in the previous one. Literal objects are
-    never expanded. Returns the collected triples as a new Graph.
+    never expanded. Returns the collected triples as a sorted tuple, ready
+    for serialize_ntriples.
     """
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
-    frontier = {seed.value for seed in seeds}
+    frontier = set(seeds)
     visited = set(frontier)
     collected: set[Triple] = set()
     for _ in range(max_hops):
         if not frontier:
             break
-        reached: set[str] = set()
+        reached: set[Iri] = set()
         for node in frontier:
             for t in graph.incident(node):
                 if t in collected:
                     continue
                 collected.add(t)
-                reached.add(t.subject.value)
+                reached.add(t.subject)
                 if isinstance(t.object, Iri):
-                    reached.add(t.object.value)
+                    reached.add(t.object)
         frontier = reached - visited
         visited |= frontier
-    return Graph.from_triples(collected)
+    return tuple(sorted(collected, key=triple_sort_key))
 
 
 def parse_decimal(text: str) -> Decimal:
     """Strict decimal parse (xsd:decimal lexical space, no exponent)."""
     if not _DECIMAL_RE.match(text):
         raise ValueError(f"not a plain decimal: {text!r}")
-    try:
-        return Decimal(text)
-    except InvalidOperation as exc:  # pragma: no cover - regex precludes this
-        raise ValueError(f"not a plain decimal: {text!r}") from exc
+    return Decimal(text)
 
 
 def decimal_lexical(value: Decimal) -> str:

@@ -47,4 +47,4 @@ def random_graph(rng: random.Random, n_triples: int, n_entities: int = 12) -> Gr
         else:
             o = Literal(str(rng.randint(0, 500)), Datatype.DECIMAL)
         triples.append(Triple(s, p, o))
-    return Graph.from_triples(triples)
+    return Graph(triples)

@@ -237,7 +237,7 @@ def test_criterion_07_subgraph_bfs_oracle():
         graph = random_graph(rng, rng.randint(20, 70), n_entities=15)
         seeds = {Iri(f"e{rng.randint(0, 14)}"), Iri(f"e{rng.randint(0, 14)}")}
         for hops in (1, 2, 3):
-            got = set(retrieve_subgraph(graph, seeds, hops).triples)
+            got = set(retrieve_subgraph(graph, seeds, hops))
             if got != bfs_oracle(graph, seeds, hops):
                 bad += 1
     check(7, bad == 0, "20 random graphs x hops 1..3, set-equal to BFS oracle")

@@ -178,6 +178,47 @@ def test_unknown_config_key_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def ask_with_config(tmp_path, settings, *flags):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(settings))
+    return main(
+        ["ask"] + rivers_rules_args() + list(flags)
+        + ["--config", str(config), "How long is the Colorado River?"]
+    )
+
+
+def test_config_values_pass_the_flags_checks(tmp_path, capsys):
+    # A misspelt choice must not silently switch the no-claims policy.
+    assert ask_with_config(tmp_path, {"no_claims": "abstian"}) == 2
+    assert ask_with_config(tmp_path, {"max_hops": 2.5}) == 2
+    assert ask_with_config(tmp_path, {"max_hops": None}) == 2
+    assert ask_with_config(tmp_path, {"label_predicate": [["label"]]}) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "no_claims" in err and "max_hops" in err
+
+
+def test_config_string_number_reads_like_the_flag(tmp_path, capsys):
+    answer = ["--mock-mode", "fixed", "--answer", "Colorado River is 2334 km long."]
+    assert ask_with_config(tmp_path, {"max_hops": "2"}, *answer) == 0
+    from_config = capsys.readouterr().out
+    assert main(
+        ["ask"] + rivers_rules_args() + answer
+        + ["--max-hops", "2", "How long is the Colorado River?"]
+    ) == 0
+    assert capsys.readouterr().out == from_config
+
+
+def test_label_predicate_flag_replaces_config_list(tmp_path, capsys):
+    # An unknown label predicate alone gives an empty lexicon, so no claims.
+    assert ask_with_config(tmp_path, {"label_predicate": ["label"]}) == 0
+    assert ask_with_config(tmp_path, {"label_predicate": "label"}) == 0
+    code = ask_with_config(
+        tmp_path, {"label_predicate": ["label"]}, "--label-predicate", "nolabel"
+    )
+    assert code == 3
+
+
 # --- eval --------------------------------------------------------------------
 
 

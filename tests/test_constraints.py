@@ -360,7 +360,7 @@ def test_clean_insertion_matches_graph_validation(typed_graph):
     )
     from factgate.kg import Graph
 
-    augmented = Graph.from_triples(list(typed_graph.triples) + [claim])
+    augmented = Graph(list(typed_graph.triples) + [claim])
     assert validate_graph(augmented, cs).conforms
     assert validate_claim(claim, typed_graph, cs) == []
 
@@ -387,7 +387,7 @@ def test_removing_properties_never_adds_violations():
         if dropped.predicate.value not in ("v", "lo", "hi"):
             continue
         remaining = [t for t in full.triples if t != dropped]
-        report = validate_graph(Graph.from_triples(remaining), manifest)
+        report = validate_graph(Graph(remaining), manifest)
         assert len(report.violations) <= baseline
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
 import pytest
@@ -104,11 +106,31 @@ def test_every_lexicon_entity_is_in_the_graph():
         )
     )
     lex = build_lexicon(g, [LABEL])
-    nodes = g.nodes()
-    assert all(iri.value in nodes for iri in lex.alias_to_iri.values())
+    subjects = g.subjects()
+    assert all(iri in subjects for iri in lex.alias_to_iri.values())
 
 
 # --- extraction --------------------------------------------------------------
+
+
+def test_threads_sharing_a_fresh_lexicon_agree(lexicon):
+    # `eval --jobs` shares one lexicon, whose regexes compile on first use.
+    text = "Colorado River is 2334 km long. Gila River has tributary Colorado River."
+    rules = [LENGTH_RULE, ELEV_RULE, TRIB_RULE]
+
+    def both():
+        return extract_claims(text, lexicon, rules), link_question_entities(text, lexicon)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(both) for _ in range(32)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [both()] * len(results)
+    assert len(results[0][0]) == 2 and len(results[0][1]) == 2
 
 
 def test_km_length_extraction_with_unit_scaling(lexicon):

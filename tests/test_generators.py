@@ -16,11 +16,10 @@ from factgate.generators import (
     RequestTimeout,
     UpstreamError,
     corrupt_number,
-    generate_http,
     generate_mock,
     mock_generator,
 )
-from factgate.kg import Iri
+from factgate.kg import Iri, ParseError
 
 LENGTH_RULE = PredicateRule(
     "R_length", "SUBJ is OBJ km long", Iri("length"), "numeric", Decimal("1000")
@@ -51,6 +50,21 @@ def test_echo_verbalizes_first_renderable_triple():
     behavior = MockBehavior(MockMode.ECHO_CONTEXT)
     out = generate_mock(behavior, "q?", CONTEXT, rules=[LENGTH_RULE])
     assert out == "River Colorado is 2334 km long."
+
+
+def test_echo_takes_first_renderable_line_in_text_order():
+    behavior = MockBehavior(MockMode.ECHO_CONTEXT)
+    unsorted = (
+        "<River_Gila> <traverses> <State_Arizona> .\n"
+        '<River_Gila> <length> "1044000" .\n'
+        '<River_Colorado> <length> "2334000.0" .\n'
+        "<this line is never read\n"
+    )
+    out = generate_mock(behavior, "q?", unsorted, rules=[LENGTH_RULE])
+    assert out == "River Gila is 1044 km long."
+    with pytest.raises(ParseError) as err:
+        generate_mock(behavior, "q?", "\n<broken\n" + unsorted, rules=[LENGTH_RULE])
+    assert err.value.line_number == 2
 
 
 def test_echo_without_renderable_triple_falls_back():
@@ -156,7 +170,7 @@ def test_http_returns_completion_verbatim(config):
         calls.append((url, json, headers, timeout))
         return completion("A canned completion.  \n")
 
-    out = generate_http(config, "How long?", "ctx", transport=transport)
+    out = HttpGenerator(config, transport=transport).generate("How long?", "ctx")
     assert out == "A canned completion."  # trailing whitespace only is trimmed
     (url, payload, headers, timeout) = calls[0]
     assert url == config.endpoint_url
@@ -175,7 +189,9 @@ def test_http_retries_then_raises_upstream_error(config):
         return StubResponse(status_code=500, text="boom")
 
     with pytest.raises(UpstreamError) as err:
-        generate_http(config, "q?", "", transport=transport, sleep=sleeps.append)
+        HttpGenerator(config, transport=transport, sleep=sleeps.append).generate(
+            "q?", ""
+        )
     assert err.value.status == 500
     assert len(attempts) == 3  # initial call + 2 retries
     assert sleeps == [1.0, 2.0]  # exponential backoff, base 1s
@@ -191,7 +207,7 @@ def test_http_missing_key_fails_before_any_call(monkeypatch):
         return completion("hi")
 
     with pytest.raises(AuthError):
-        generate_http(config, "q?", "", transport=transport)
+        HttpGenerator(config, transport=transport).generate("q?", "")
     assert called == []
 
 
@@ -200,7 +216,7 @@ def test_http_rejected_key_is_auth_error(config):
         return StubResponse(status_code=401, text="bad key")
 
     with pytest.raises(AuthError):
-        generate_http(config, "q?", "", transport=transport)
+        HttpGenerator(config, transport=transport).generate("q?", "")
 
 
 def test_http_timeout_after_retries(config):
@@ -210,7 +226,9 @@ def test_http_timeout_after_retries(config):
         raise requests.Timeout()
 
     with pytest.raises(RequestTimeout):
-        generate_http(config, "q?", "", transport=transport, sleep=lambda _: None)
+        HttpGenerator(config, transport=transport, sleep=lambda _: None).generate(
+            "q?", ""
+        )
 
 
 def test_http_recovers_after_transient_failure(config):
@@ -219,16 +237,24 @@ def test_http_recovers_after_transient_failure(config):
     def transport(url, **kwargs):
         return responses.pop(0)
 
-    out = generate_http(config, "q?", "", transport=transport, sleep=lambda _: None)
+    gen = HttpGenerator(config, transport=transport, sleep=lambda _: None)
+    out = gen.generate("q?", "")
     assert out == "ok"
 
 
 def test_http_malformed_payload_is_upstream_error(config):
-    def transport(url, **kwargs):
-        return StubResponse(status_code=200, payload={"nope": []})
+    payloads = [
+        {"nope": []},
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": ["a", "b"]}}]},
+    ]
+    for payload in payloads:
 
-    with pytest.raises(UpstreamError):
-        generate_http(config, "q?", "", transport=transport)
+        def transport(url, **kwargs):
+            return StubResponse(status_code=200, payload=payload)
+
+        with pytest.raises(UpstreamError):
+            HttpGenerator(config, transport=transport).generate("q?", "")
 
 
 def test_config_validation():
