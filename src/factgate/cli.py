@@ -185,7 +185,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.from_log:
         try:
             records = read_result_log(args.from_log)
-        except (OSError, DatasetError) as exc:
+        except (OSError, DatasetError, DuplicateId) as exc:
             raise CliError(f"result log {args.from_log!r}: {exc}") from exc
     else:
         if args.generator == "http":

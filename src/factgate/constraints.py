@@ -3,8 +3,9 @@
 Seven constraint families cover the formal rules a knowledge graph (and any
 claim hypothetically inserted into it) must satisfy: object typing, numeric
 bounds, property ordering, conditional requirements, and temporal interval
-overlap. Constraints are declared in a line-oriented manifest and evaluated
-either graph-wide or against a single claim.
+overlap. Constraints are declared in a line-oriented manifest. A graph is
+validated whole; a claim is charged with exactly the violations that
+asserting it would add, found by re-checking only the nodes it touches.
 
 Bound and ordering checks use exact decimal comparison; only numeric
 *equality* elsewhere is tolerant. Nodes missing a constrained property are
@@ -22,9 +23,12 @@ from .kg import (
     Graph,
     Iri,
     Literal,
+    Term,
     Triple,
     decimal_lexical,
     parse_decimal,
+    term_matches,
+    triple_sort_key,
 )
 
 
@@ -51,17 +55,59 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
+def _violation_order(v: Violation) -> tuple:
+    """Order within one constraint's violations: focus, message, triple."""
+    return (v.focus.value, v.message, triple_sort_key(v.triple) if v.triple else ())
+
+
+class _GraphPlusClaim:
+    """Read-only view of a graph plus one triple it does not hold. It answers
+    the only two queries the checks make, `match` and `contains`."""
+
+    __slots__ = ("graph", "claim")
+
+    def __init__(self, graph: Graph, claim: Triple):
+        self.graph = graph
+        self.claim = claim
+
+    def _claim_matches(self, s: Iri | None, p: Iri | None, o: Term | None) -> bool:
+        c = self.claim
+        return (
+            (s is None or c.subject == s)
+            and (p is None or c.predicate == p)
+            and (o is None or term_matches(c.object, o))
+        )
+
+    def match(
+        self, s: Iri | None = None, p: Iri | None = None, o: Term | None = None
+    ) -> list[Triple]:
+        found = self.graph.match(s, p, o)
+        if self._claim_matches(s, p, o):
+            found.append(self.claim)
+        return found
+
+    def contains(self, triple: Triple) -> bool:
+        return self.graph.contains(triple) or self._claim_matches(
+            triple.subject, triple.predicate, triple.object
+        )
+
+
+_GraphLike = Graph | _GraphPlusClaim
+
+
 def _instances_of(graph: Graph, cls: Iri) -> list[Iri]:
     return sorted(
         {t.subject for t in graph.match(p=RDF_TYPE, o=cls)}, key=lambda i: i.value
     )
 
 
-def _has_type(graph: Graph, node: Iri, cls: Iri) -> bool:
+def _has_type(graph: _GraphLike, node: Iri, cls: Iri) -> bool:
     return graph.contains(Triple(node, RDF_TYPE, cls))
 
 
-def _numeric_values(graph: Graph, node: Iri, prop: Iri) -> list[tuple[Decimal, Triple]]:
+def _numeric_values(
+    graph: _GraphLike, node: Iri, prop: Iri
+) -> list[tuple[Decimal, Triple]]:
     out = []
     for t in graph.match(s=node, p=prop):
         if isinstance(t.object, Literal) and t.object.is_numeric:
@@ -69,35 +115,83 @@ def _numeric_values(graph: Graph, node: Iri, prop: Iri) -> list[tuple[Decimal, T
     return out
 
 
+# Each constraint is a loop over one per-unit check. A node check's units are
+# the instances of its target class; a triple check's units are the triples
+# of its predicate. Every check reads only triples whose subject is the
+# unit's node, or the subject or object of the unit triple, and every
+# violation it reports carries that node as its focus (node checks) or that
+# triple as its triple (triple checks). So asserting a claim can change the
+# violations of only the units that touch the claim's subject, plus the claim
+# itself as a new unit: that is what `check_around` re-checks.
+
+
+class _NodeCheck:
+    """Units are the instances of `target_class`; subclasses define
+    `check_node(graph, node)` for one instance."""
+
+    def evaluate(self, graph: Graph) -> list[Violation]:
+        return [
+            v
+            for node in _instances_of(graph, self.target_class)
+            for v in self.check_node(graph, node)
+        ]
+
+    def check_around(self, graph: _GraphLike, node: Iri) -> list[Violation]:
+        """Violations of the units whose check reads triples of `node`."""
+        if not _has_type(graph, node, self.target_class):
+            return []
+        return self.check_node(graph, node)
+
+
+class _TripleCheck:
+    """Units are the triples of `predicate`; subclasses define
+    `check_triple(graph, t)` for one of them."""
+
+    def evaluate(self, graph: Graph) -> list[Violation]:
+        return [
+            v
+            for t in graph.match(p=self.predicate)
+            for v in self.check_triple(graph, t)
+        ]
+
+    def check_around(self, graph: _GraphLike, node: Iri) -> list[Violation]:
+        """Violations of the units whose check reads triples of `node`."""
+        incoming = graph.match(p=self.predicate, o=node)
+        units = graph.match(s=node, p=self.predicate) + [
+            t for t in incoming if t.subject != node
+        ]
+        return [v for t in units for v in self.check_triple(graph, t)]
+
+
 @dataclass(frozen=True)
-class ClassOfObject:
+class ClassOfObject(_TripleCheck):
     """Objects of `predicate` must be IRIs typed as `target_class`."""
 
     id: str
     predicate: Iri
     target_class: Iri
 
-    def evaluate(self, graph: Graph) -> list[Violation]:
-        out = []
-        for t in graph.match(p=self.predicate):
-            obj = t.object
-            if isinstance(obj, Iri) and _has_type(graph, obj, self.target_class):
-                continue
-            shown = obj.value if isinstance(obj, Iri) else obj.lexical
-            out.append(
-                Violation(
-                    self.id,
-                    t.subject,
-                    t,
-                    f"object {shown!r} of <{self.predicate.value}> is not "
-                    f"typed <{self.target_class.value}>",
-                )
+    def check_triple(self, graph: _GraphLike, t: Triple) -> list[Violation]:
+        obj = t.object
+        if isinstance(obj, Iri) and _has_type(graph, obj, self.target_class):
+            return []
+        shown = obj.value if isinstance(obj, Iri) else obj.lexical
+        return [
+            Violation(
+                self.id,
+                t.subject,
+                t,
+                f"object {shown!r} of <{self.predicate.value}> is not "
+                f"typed <{self.target_class.value}>",
             )
-        return out
+        ]
+
+
+_BOUND_OPS = {"min_exclusive": ">", "min_inclusive": ">=", "max_inclusive": "<="}
 
 
 @dataclass(frozen=True)
-class NumericBound:
+class NumericBound(_NodeCheck):
     """Shared evaluator for min_exclusive / min_inclusive / max_inclusive."""
 
     id: str
@@ -113,29 +207,25 @@ class NumericBound:
             return value >= self.bound
         return value <= self.bound  # max_inclusive
 
-    def evaluate(self, graph: Graph) -> list[Violation]:
-        op = {"min_exclusive": ">", "min_inclusive": ">=", "max_inclusive": "<="}[
-            self.kind
-        ]
+    def check_node(self, graph: _GraphLike, node: Iri) -> list[Violation]:
         out = []
-        for node in _instances_of(graph, self.target_class):
-            for value, t in _numeric_values(graph, node, self.property):
-                if not self._ok(value):
-                    out.append(
-                        Violation(
-                            self.id,
-                            node,
-                            t,
-                            f"<{self.property.value}> value "
-                            f"{decimal_lexical(value)} is not {op} "
-                            f"{decimal_lexical(self.bound)}",
-                        )
+        for value, t in _numeric_values(graph, node, self.property):
+            if not self._ok(value):
+                out.append(
+                    Violation(
+                        self.id,
+                        node,
+                        t,
+                        f"<{self.property.value}> value "
+                        f"{decimal_lexical(value)} is not {_BOUND_OPS[self.kind]} "
+                        f"{decimal_lexical(self.bound)}",
                     )
+                )
         return out
 
 
 @dataclass(frozen=True)
-class LessThanProperty:
+class LessThanProperty(_NodeCheck):
     """On `target_class` nodes, every `lesser` value < every `greater` value."""
 
     id: str
@@ -143,29 +233,27 @@ class LessThanProperty:
     lesser: Iri
     greater: Iri
 
-    def evaluate(self, graph: Graph) -> list[Violation]:
+    def check_node(self, graph: _GraphLike, node: Iri) -> list[Violation]:
         out = []
-        for node in _instances_of(graph, self.target_class):
-            lesser_vals = _numeric_values(graph, node, self.lesser)
-            greater_vals = _numeric_values(graph, node, self.greater)
-            for lv, lt in lesser_vals:
-                for gv, _ in greater_vals:
-                    if not lv < gv:
-                        out.append(
-                            Violation(
-                                self.id,
-                                node,
-                                lt,
-                                f"<{self.lesser.value}> {decimal_lexical(lv)} is "
-                                f"not strictly less than <{self.greater.value}> "
-                                f"{decimal_lexical(gv)}",
-                            )
+        greater_vals = _numeric_values(graph, node, self.greater)
+        for lv, lt in _numeric_values(graph, node, self.lesser):
+            for gv, _ in greater_vals:
+                if not lv < gv:
+                    out.append(
+                        Violation(
+                            self.id,
+                            node,
+                            lt,
+                            f"<{self.lesser.value}> {decimal_lexical(lv)} is "
+                            f"not strictly less than <{self.greater.value}> "
+                            f"{decimal_lexical(gv)}",
                         )
+                    )
         return out
 
 
 @dataclass(frozen=True)
-class ConditionalRequirement:
+class ConditionalRequirement(_TripleCheck):
     """(s, predicate, o) with o typed `object_class` requires
     (s, required_predicate, required_object)."""
 
@@ -175,31 +263,29 @@ class ConditionalRequirement:
     required_predicate: Iri
     required_object: Iri
 
-    def evaluate(self, graph: Graph) -> list[Violation]:
-        out = []
-        for t in graph.match(p=self.predicate):
-            if not isinstance(t.object, Iri):
-                continue
-            if not _has_type(graph, t.object, self.object_class):
-                continue
-            required = Triple(t.subject, self.required_predicate, self.required_object)
-            if not graph.contains(required):
-                out.append(
-                    Violation(
-                        self.id,
-                        t.subject,
-                        t,
-                        f"<{t.subject.value}> has <{self.predicate.value}> "
-                        f"<{t.object.value}> but lacks "
-                        f"<{self.required_predicate.value}> "
-                        f"<{self.required_object.value}>",
-                    )
-                )
-        return out
+    def check_triple(self, graph: _GraphLike, t: Triple) -> list[Violation]:
+        if not isinstance(t.object, Iri):
+            return []
+        if not _has_type(graph, t.object, self.object_class):
+            return []
+        required = Triple(t.subject, self.required_predicate, self.required_object)
+        if graph.contains(required):
+            return []
+        return [
+            Violation(
+                self.id,
+                t.subject,
+                t,
+                f"<{t.subject.value}> has <{self.predicate.value}> "
+                f"<{t.object.value}> but lacks "
+                f"<{self.required_predicate.value}> "
+                f"<{self.required_object.value}>",
+            )
+        ]
 
 
 @dataclass(frozen=True)
-class IntervalOverlap:
+class IntervalOverlap(_TripleCheck):
     """For (a, predicate, b), the [start, end] intervals of a and b must
     overlap (closed intervals, non-strict at endpoints)."""
 
@@ -208,7 +294,9 @@ class IntervalOverlap:
     start: Iri
     end: Iri
 
-    def _interval(self, graph: Graph, node: Iri) -> tuple[Decimal, Decimal] | None:
+    def _interval(
+        self, graph: _GraphLike, node: Iri
+    ) -> tuple[Decimal, Decimal] | None:
         starts = [v for v, _ in _numeric_values(graph, node, self.start)]
         ends = [v for v, _ in _numeric_values(graph, node, self.end)]
         if not starts or not ends:
@@ -216,30 +304,27 @@ class IntervalOverlap:
         # Multi-valued endpoints take the widest reading.
         return min(starts), max(ends)
 
-    def evaluate(self, graph: Graph) -> list[Violation]:
-        out = []
-        for t in graph.match(p=self.predicate):
-            if not isinstance(t.object, Iri):
-                continue
-            a = self._interval(graph, t.subject)
-            b = self._interval(graph, t.object)
-            if a is None or b is None:
-                continue
-            if a[0] <= b[1] and b[0] <= a[1]:
-                continue
-            out.append(
-                Violation(
-                    self.id,
-                    t.subject,
-                    t,
-                    f"intervals of <{t.subject.value}> "
-                    f"[{decimal_lexical(a[0])}, {decimal_lexical(a[1])}] and "
-                    f"<{t.object.value}> "
-                    f"[{decimal_lexical(b[0])}, {decimal_lexical(b[1])}] "
-                    f"do not overlap",
-                )
+    def check_triple(self, graph: _GraphLike, t: Triple) -> list[Violation]:
+        if not isinstance(t.object, Iri):
+            return []
+        a = self._interval(graph, t.subject)
+        b = self._interval(graph, t.object)
+        if a is None or b is None:
+            return []
+        if a[0] <= b[1] and b[0] <= a[1]:
+            return []
+        return [
+            Violation(
+                self.id,
+                t.subject,
+                t,
+                f"intervals of <{t.subject.value}> "
+                f"[{decimal_lexical(a[0])}, {decimal_lexical(a[1])}] and "
+                f"<{t.object.value}> "
+                f"[{decimal_lexical(b[0])}, {decimal_lexical(b[1])}] "
+                f"do not overlap",
             )
-        return out
+        ]
 
 
 Constraint = (
@@ -363,9 +448,7 @@ def validate_graph(graph: Graph, constraints: ConstraintSet) -> ValidationReport
     """Evaluate every constraint against the whole graph."""
     violations: list[Violation] = []
     for constraint in constraints:
-        found = constraint.evaluate(graph)
-        found.sort(key=lambda v: (v.focus.value, v.message))
-        violations.extend(found)
+        violations.extend(sorted(constraint.evaluate(graph), key=_violation_order))
     return ValidationReport(conforms=not violations, violations=tuple(violations))
 
 
@@ -374,14 +457,20 @@ def validate_claim(
 ) -> list[Violation]:
     """Violations a claim would introduce if asserted.
 
-    The claim is inserted into a copy of the graph and the full validation
-    runs; only violations focused on the claim's subject, or citing the
-    claim itself, are attributed to it.
+    Exactly the set difference `violations(G + claim) - violations(G)` under
+    `validate_graph`, in its order: a violation the graph already has is
+    never attributed to the claim, and a new one is attributed wherever its
+    focus lies. A claim the graph already holds adds nothing. Only the units
+    around the claim's subject are re-checked, on the graph and on a view of
+    the graph plus the claim; no graph is built.
     """
-    augmented = Graph(list(graph.triples) + [claim_triple])
-    report = validate_graph(augmented, constraints)
-    return [
-        v
-        for v in report.violations
-        if v.focus == claim_triple.subject or v.triple == claim_triple
-    ]
+    node = claim_triple.subject
+    if claim_triple in graph.match(node, claim_triple.predicate, claim_triple.object):
+        return []
+    with_claim = _GraphPlusClaim(graph, claim_triple)
+    new: list[Violation] = []
+    for constraint in constraints:
+        before = set(constraint.check_around(graph, node))
+        after = set(constraint.check_around(with_claim, node))
+        new.extend(sorted(after - before, key=_violation_order))
+    return new

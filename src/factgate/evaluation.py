@@ -138,7 +138,27 @@ class EvalMetrics:
 # --- dataset and log IO -------------------------------------------------------
 
 
+def _flag(payload: dict, key: str, line: int) -> bool:
+    """A true/false field, false when absent; anything else fails closed."""
+    value = payload.get(key, False)
+    if not isinstance(value, bool):
+        raise DatasetError(line, f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _optional_flag(payload: dict, key: str, line: int) -> bool | None:
+    """A true/false/null field, null when absent."""
+    value = payload.get(key)
+    if value is not None and not isinstance(value, bool):
+        raise DatasetError(
+            line, f"{key!r} must be true, false or null, got {value!r}"
+        )
+    return value
+
+
 def _parse_item(payload: dict, line: int) -> QAItem:
+    if not isinstance(payload, dict):
+        raise DatasetError(line, "expected a JSON object")
     for key in ("id", "question", "gold_answer", "entailed"):
         if key not in payload:
             raise DatasetError(line, f"missing field {key!r}")
@@ -153,9 +173,9 @@ def _parse_item(payload: dict, line: int) -> QAItem:
             id=str(payload["id"]),
             question=str(payload["question"]),
             gold_answer=str(payload["gold_answer"]),
-            entailed=bool(payload["entailed"]),
+            entailed=_flag(payload, "entailed", line),
             gold_triple=gold_triple,
-            violates_constraints=bool(payload.get("violates_constraints", False)),
+            violates_constraints=_flag(payload, "violates_constraints", line),
         )
     except ValueError as exc:
         raise DatasetError(line, str(exc)) from exc
@@ -195,15 +215,19 @@ def record_to_dict(record: ResultRecord) -> dict:
 
 
 def record_from_dict(payload: dict, line: int = 0) -> ResultRecord:
+    if not isinstance(payload, dict):
+        raise DatasetError(line, "expected a JSON object")
     try:
         return ResultRecord(
             item_id=str(payload["item_id"]),
             responded=Responded(payload["responded"]),
-            correct=payload.get("correct"),
-            licensed=bool(payload.get("licensed", False)),
-            rejected_violation=bool(payload.get("rejected_violation", False)),
-            appropriate_abstention=payload.get("appropriate_abstention"),
-            failed=bool(payload.get("failed", False)),
+            correct=_optional_flag(payload, "correct", line),
+            licensed=_flag(payload, "licensed", line),
+            rejected_violation=_flag(payload, "rejected_violation", line),
+            appropriate_abstention=_optional_flag(
+                payload, "appropriate_abstention", line
+            ),
+            failed=_flag(payload, "failed", line),
         )
     except (KeyError, ValueError) as exc:
         raise DatasetError(line, f"bad result record: {exc}") from exc
@@ -216,8 +240,10 @@ def write_result_log(records: Iterable[ResultRecord], path: str | Path) -> None:
 
 
 def read_result_log(path: str | Path) -> list[ResultRecord]:
-    """Ingest a ResultRecord JSONL, e.g. a published external run."""
+    """Ingest a ResultRecord JSONL, e.g. a published external run; item
+    ids must be unique."""
     records = []
+    seen: set[str] = set()
     text = Path(path).read_text(encoding="utf-8")
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -227,7 +253,11 @@ def read_result_log(path: str | Path) -> list[ResultRecord]:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(number, f"bad JSON: {exc}") from exc
-        records.append(record_from_dict(payload, number))
+        record = record_from_dict(payload, number)
+        if record.item_id in seen:
+            raise DuplicateId(record.item_id)
+        seen.add(record.item_id)
+        records.append(record)
     return records
 
 
@@ -371,9 +401,11 @@ def compute_metrics(
 
     An abstention without an explicit appropriateness flag falls back to
     the item's entailment flag: abstaining on a non-entailed question is
-    appropriate. Ingested external logs usually take this fallback.
+    appropriate. Ingested external logs usually take this fallback. Each
+    item is scored at most once: a repeated item id raises DuplicateId.
     """
     by_id = {item.id: item for item in dataset}
+    seen: set[str] = set()
     c = dict(
         total=0, answered=0, correct_answered=0, abstentions=0,
         appropriate_abstentions=0, violating_total=0, violating_rejected=0,
@@ -384,6 +416,9 @@ def compute_metrics(
         item = by_id.get(record.item_id)
         if item is None:
             raise UnknownItem(record.item_id)
+        if record.item_id in seen:
+            raise DuplicateId(record.item_id)
+        seen.add(record.item_id)
         c["total"] += 1
         answered = record.responded is Responded.ANSWERED
         if answered:

@@ -267,6 +267,29 @@ def test_eval_writes_result_log_and_rescoring_matches(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_eval_result_log_with_string_flag_is_exit_2(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    assert main(eval_args("--condition", "oracle", "--output", str(log))) == 0
+    capsys.readouterr()
+    lines = log.read_text().splitlines()
+    first = json.loads(lines[0])
+    first["failed"] = "false"
+    log.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+    assert main(eval_args("--condition", "oracle", "--from-log", str(log))) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "'failed'" in err
+
+
+def test_eval_result_log_with_repeated_item_is_exit_2(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    assert main(eval_args("--condition", "oracle", "--output", str(log))) == 0
+    capsys.readouterr()
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join(lines + lines[:1]) + "\n")
+    assert main(eval_args("--condition", "oracle", "--from-log", str(log))) == 2
+    assert "duplicate item id" in capsys.readouterr().err
+
+
 def test_eval_jobs_flag_gives_identical_output(capsys):
     args = eval_args(
         "--condition", "oracle", "--mock-mode", "noisy",

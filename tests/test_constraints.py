@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factgate.constraints import (
     ManifestError,
@@ -8,7 +10,16 @@ from factgate.constraints import (
     validate_claim,
     validate_graph,
 )
-from factgate.kg import RDF_TYPE_IRI, Datatype, Iri, Literal, Triple, parse_ntriples
+from factgate.kg import (
+    RDF_TYPE,
+    RDF_TYPE_IRI,
+    Datatype,
+    Graph,
+    Iri,
+    Literal,
+    Triple,
+    parse_ntriples,
+)
 
 TYPE = f"<{RDF_TYPE_IRI}>"
 
@@ -358,8 +369,6 @@ def test_clean_insertion_matches_graph_validation(typed_graph):
     claim = Triple(
         Iri("River_X"), Iri("discharge"), Literal("120", Datatype.DECIMAL)
     )
-    from factgate.kg import Graph
-
     augmented = Graph(list(typed_graph.triples) + [claim])
     assert validate_graph(augmented, cs).conforms
     assert validate_claim(claim, typed_graph, cs) == []
@@ -380,8 +389,6 @@ def test_removing_properties_never_adds_violations():
             ]
         )
     )
-    from factgate.kg import Graph
-
     baseline = len(validate_graph(full, manifest).violations)
     for dropped in full.triples:
         if dropped.predicate.value not in ("v", "lo", "hi"):
@@ -405,3 +412,180 @@ def test_violations_reconfirmed_in_isolation():
         ]
         assert mouth and source
         assert not (mouth[0] < source[0])
+
+
+# --- claim attribution: exact set difference --------------------------------
+
+
+PHILOSOPHER_MANIFEST = """\
+P1 interval_overlap predicate=<influenced> start=<birthYear> end=<deathYear>
+P2 less_than_property class=<Philosopher> lesser=<birthYear> greater=<deathYear>
+"""
+
+
+def brute_force_claim_violations(claim, graph, constraints) -> list:
+    """validate_claim's definition, computed the slow way: the violations of
+    the graph with the claim asserted that the graph alone does not have,
+    once each, in validate_graph's order."""
+    before = set(validate_graph(graph, constraints).violations)
+    after = validate_graph(Graph([*graph, claim]), constraints).violations
+    return list(dict.fromkeys(v for v in after if v not in before))
+
+
+def test_claim_on_an_already_violating_node_is_not_charged_for_it():
+    # The river already breaks C2; a true, unrelated length claim adds
+    # nothing and must not inherit that violation.
+    g = parse_ntriples(river("R", sourceElevation="-5", length="100"))
+    claim = Triple(Iri("R"), Iri("length"), Literal("100", Datatype.DECIMAL))
+    cs = parse_manifest(RIVER_MANIFEST)
+    assert [v.constraint_id for v in validate_graph(g, cs).violations] == ["C2"]
+    assert validate_claim(claim, g, cs) == []
+    fresh = Triple(Iri("R"), Iri("length"), Literal("120", Datatype.DECIMAL))
+    assert validate_claim(fresh, g, cs) == []
+
+
+def test_claim_is_charged_with_a_violation_focused_on_another_node():
+    # A's life ends before B's can start once B's birth year is asserted:
+    # the P1 violation sits on (A influenced B), with focus A.
+    g = parse_ntriples(
+        "\n".join(
+            [
+                '<A> <birthYear> "1700" .',
+                '<A> <deathYear> "1750" .',
+                '<B> <deathYear> "1950" .',
+                "<A> <influenced> <B> .",
+            ]
+        )
+    )
+    cs = parse_manifest(PHILOSOPHER_MANIFEST)
+    assert validate_graph(g, cs).conforms
+    claim = Triple(Iri("B"), Iri("birthYear"), Literal("1900", Datatype.DECIMAL))
+    violations = validate_claim(claim, g, cs)
+    assert [v.constraint_id for v in violations] == ["P1"]
+    assert violations[0].focus == Iri("A")
+    assert violations[0].triple == Triple(Iri("A"), Iri("influenced"), Iri("B"))
+
+
+def test_claim_the_graph_holds_adds_nothing():
+    g = parse_ntriples(river("R", sourceElevation="-5"))
+    held = Triple(Iri("R"), Iri("sourceElevation"), Literal("-5", Datatype.DECIMAL))
+    assert validate_claim(held, g, parse_manifest(RIVER_MANIFEST)) == []
+
+
+def test_integer_twin_of_a_stored_number_is_a_new_triple():
+    # "-5"^^xsd:integer is entailed by the stored decimal "-5", but it is a
+    # different triple, so asserting it adds its own C2 violation.
+    g = parse_ntriples(river("R", sourceElevation="-5"))
+    twin = Triple(Iri("R"), Iri("sourceElevation"), Literal("-5", Datatype.INTEGER))
+    cs = parse_manifest(RIVER_MANIFEST)
+    violations = validate_claim(twin, g, cs)
+    assert [(v.constraint_id, v.triple) for v in violations] == [("C2", twin)]
+    assert violations == brute_force_claim_violations(twin, g, cs)
+
+
+def test_type_claim_brings_a_node_and_its_incoming_edges_into_scope():
+    g = parse_ntriples(
+        "\n".join(
+            [
+                '<X> <sourceElevation> "-5" .',
+                "<Up> <hasTributary> <X> .",
+                "<X> <traverses> <State_S> .",
+                f"<State_S> {TYPE} <State> .",
+            ]
+        )
+    )
+    cs = parse_manifest(RIVER_MANIFEST)
+    claim = Triple(Iri("X"), RDF_TYPE, Iri("River"))
+    violations = validate_claim(claim, g, cs)
+    # X becomes a River (C2 fires, C1 on Up -> X is cleared, C7 is unaffected
+    # by X's own type); only the new violation is charged.
+    assert [v.constraint_id for v in violations] == ["C2"]
+    assert violations == brute_force_claim_violations(claim, g, cs)
+    state = Triple(Iri("State_S"), RDF_TYPE, Iri("Lake"))
+    assert validate_claim(state, g, cs) == []
+    untype = Triple(Iri("Y"), RDF_TYPE, Iri("State"))
+    g2 = parse_ntriples("<Z> <traverses> <Y> .")
+    assert [v.constraint_id for v in validate_claim(untype, g2, cs)] == ["C7"]
+
+
+def test_claim_on_a_fresh_subject():
+    g = parse_ntriples(river("R", sourceElevation="10"))
+    cs = parse_manifest(RIVER_MANIFEST)
+    claim = Triple(Iri("New"), Iri("hasTributary"), Iri("R"))
+    assert validate_claim(claim, g, cs) == []
+    bad = Triple(Iri("New"), Iri("hasTributary"), Literal("R", Datatype.STRING))
+    assert [v.constraint_id for v in validate_claim(bad, g, cs)] == ["C1"]
+
+
+# Small vocabularies under which random graphs hit every constraint of both
+# fixture manifests: typed and untyped nodes, hubs, numbers around each bound
+# and in INTEGER/DECIMAL twins, string literals.
+_NODES = [Iri(n) for n in ("a", "b", "c", "d", "United_States")]
+_CLASSES = [Iri(n) for n in ("River", "State", "Philosopher", "Lake")]
+_IRI_OBJECTS = _NODES + _CLASSES
+_LINK_PREDICATES = [
+    Iri(n) for n in ("hasTributary", "traverses", "inCountry", "influenced")
+]
+_NUMERIC_PREDICATES = [
+    Iri(n)
+    for n in (
+        "sourceElevation", "length", "discharge", "mouthElevation",
+        "birthYear", "deathYear",
+    )
+]
+_INTEGERS = ["-150", "-100", "-5", "0", "1", "5", "1700", "1750", "1900"]
+
+_numbers = st.one_of(
+    st.builds(
+        Literal, st.sampled_from(_INTEGERS + ["0.0", "1.5"]), st.just(Datatype.DECIMAL)
+    ),
+    st.builds(Literal, st.sampled_from(_INTEGERS), st.just(Datatype.INTEGER)),
+)
+
+
+def _triples(subjects: list[Iri]):
+    subject = st.sampled_from(subjects)
+    return st.one_of(
+        st.builds(Triple, subject, st.just(RDF_TYPE), st.sampled_from(_CLASSES)),
+        st.builds(
+            Triple,
+            subject,
+            st.sampled_from(_LINK_PREDICATES),
+            st.one_of(st.sampled_from(_IRI_OBJECTS), st.just(Literal("a"))),
+        ),
+        st.builds(Triple, subject, st.sampled_from(_NUMERIC_PREDICATES), _numbers),
+    )
+
+
+def _twin(t: Triple) -> Triple:
+    """The same number under the other numeric datatype."""
+    integer = t.object.datatype is Datatype.INTEGER
+    other = Datatype.DECIMAL if integer else Datatype.INTEGER
+    return Triple(t.subject, t.predicate, Literal(t.object.lexical, other))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    manifest=st.sampled_from([RIVER_MANIFEST, PHILOSOPHER_MANIFEST]),
+    triples=st.lists(_triples(_NODES), max_size=14),
+    data=st.data(),
+)
+def test_validate_claim_is_the_set_difference_on_random_graphs(manifest, triples, data):
+    graph = Graph(triples)
+    cs = parse_manifest(manifest)
+    # Claims on stored and fresh subjects, claims the graph holds, and
+    # INTEGER/DECIMAL twins of stored integers.
+    kinds = [_triples(_NODES + [Iri("fresh")])]
+    if triples:
+        kinds.append(st.sampled_from(triples))
+        twins = [
+            _twin(t)
+            for t in triples
+            if isinstance(t.object, Literal) and t.object.lexical in _INTEGERS
+        ]
+        if twins:
+            kinds.append(st.sampled_from(twins))
+    claim = data.draw(st.one_of(kinds), label="claim")
+    assert validate_claim(claim, graph, cs) == brute_force_claim_violations(
+        claim, graph, cs
+    )

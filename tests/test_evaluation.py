@@ -99,6 +99,33 @@ def test_violating_item_cannot_be_entailed(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("field", ["entailed", "violates_constraints"])
+@pytest.mark.parametrize("value", ['"false"', '"true"', "0", "1", "null"])
+def test_dataset_flags_accept_only_json_booleans(tmp_path, field, value):
+    path = tmp_path / "d.jsonl"
+    row = {"id": "a", "question": "q?", "gold_answer": "x", "entailed": False}
+    path.write_text(
+        '{"id": "z", "question": "q?", "gold_answer": "x", "entailed": false}\n'
+        + json.dumps(row)[:-1] + f', "{field}": {value}}}\n'
+    )
+    with pytest.raises(DatasetError) as err:
+        load_dataset(path)
+    assert err.value.line == 2
+    assert repr(field) in str(err.value)
+
+
+def test_non_object_lines_are_dataset_errors(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("5\n")
+    with pytest.raises(DatasetError) as err:
+        load_dataset(path)
+    assert err.value.line == 1
+    path.write_text('["a", "ANSWERED"]\n')
+    with pytest.raises(DatasetError) as err:
+        read_result_log(path)
+    assert err.value.line == 1
+
+
 # --- grading -------------------------------------------------------------------
 
 
@@ -448,6 +475,58 @@ def test_result_log_round_trip(tmp_path, rivers):
         "item_id", "responded", "correct", "licensed", "rejected_violation",
         "appropriate_abstention", "failed",
     }
+
+
+LOG_ROW = {
+    "item_id": "a", "responded": "ABSTAINED", "correct": None, "licensed": False,
+    "rejected_violation": False, "appropriate_abstention": None, "failed": False,
+}
+
+
+@pytest.mark.parametrize(
+    "field", ["licensed", "rejected_violation", "failed"]
+)
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_result_log_flags_accept_only_json_booleans(tmp_path, field, value):
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps(LOG_ROW) + "\n" + json.dumps(
+        {**LOG_ROW, "item_id": "b", field: value}
+    ) + "\n")
+    with pytest.raises(DatasetError) as err:
+        read_result_log(path)
+    assert err.value.line == 2
+    assert repr(field) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "field,responded",
+    [("correct", "ANSWERED"), ("appropriate_abstention", "ABSTAINED")],
+)
+@pytest.mark.parametrize("value", ["false", "null", 0, 1])
+def test_result_log_optional_flags_accept_boolean_or_null(
+    tmp_path, field, responded, value
+):
+    path = tmp_path / "log.jsonl"
+    row = {**LOG_ROW, "responded": responded, field: False}
+    path.write_text(json.dumps(row) + "\n")
+    assert getattr(read_result_log(path)[0], field) is False
+    path.write_text(json.dumps({**row, field: value}) + "\n")
+    with pytest.raises(DatasetError) as err:
+        read_result_log(path)
+    assert err.value.line == 1
+    assert repr(field) in str(err.value)
+
+
+def test_duplicated_record_is_rejected_not_counted_twice(tmp_path):
+    dataset = [QAItem("a", "?", "x", entailed=False)]
+    twice = [record("a", Responded.ABSTAINED), record("a", Responded.ABSTAINED)]
+    with pytest.raises(DuplicateId):
+        compute_metrics(dataset, twice)
+    assert compute_metrics(dataset, twice[:1]).counts.total == 1
+    path = tmp_path / "log.jsonl"
+    write_result_log(twice, path)
+    with pytest.raises(DuplicateId):
+        read_result_log(path)
 
 
 def test_abstained_record_cannot_carry_grade():
