@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Sequence
+from functools import cache, partial
+from typing import Callable, Sequence
 
 from .kg import (
     RDF_TYPE,
@@ -101,6 +102,11 @@ def _instances_of(graph: Graph, cls: Iri) -> list[Iri]:
     )
 
 
+# The instances of a class, computed once per `validate_graph` call and
+# shared by the node checks that target it.
+_Instances = Callable[[Iri], list[Iri]]
+
+
 def _has_type(graph: _GraphLike, node: Iri, cls: Iri) -> bool:
     return graph.contains(Triple(node, RDF_TYPE, cls))
 
@@ -129,10 +135,10 @@ class _NodeCheck:
     """Units are the instances of `target_class`; subclasses define
     `check_node(graph, node)` for one instance."""
 
-    def evaluate(self, graph: Graph) -> list[Violation]:
+    def evaluate(self, graph: Graph, instances: _Instances) -> list[Violation]:
         return [
             v
-            for node in _instances_of(graph, self.target_class)
+            for node in instances(self.target_class)
             for v in self.check_node(graph, node)
         ]
 
@@ -147,7 +153,7 @@ class _TripleCheck:
     """Units are the triples of `predicate`; subclasses define
     `check_triple(graph, t)` for one of them."""
 
-    def evaluate(self, graph: Graph) -> list[Violation]:
+    def evaluate(self, graph: Graph, instances: _Instances) -> list[Violation]:
         return [
             v
             for t in graph.match(p=self.predicate)
@@ -447,8 +453,11 @@ def parse_manifest(text: str) -> ConstraintSet:
 def validate_graph(graph: Graph, constraints: ConstraintSet) -> ValidationReport:
     """Evaluate every constraint against the whole graph."""
     violations: list[Violation] = []
+    instances = cache(partial(_instances_of, graph))
     for constraint in constraints:
-        violations.extend(sorted(constraint.evaluate(graph), key=_violation_order))
+        violations.extend(
+            sorted(constraint.evaluate(graph, instances), key=_violation_order)
+        )
     return ValidationReport(conforms=not violations, violations=tuple(violations))
 
 

@@ -14,10 +14,10 @@ extract_claims signature, so a learned extractor can replace this one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .kg import (
     Datatype,
@@ -31,6 +31,7 @@ from .kg import (
 
 # A plain decimal number token in free text (no exponent, no trailing dot).
 NUMBER_TOKEN_RE = re.compile(r"[+-]?(?:\d+\.\d+|\d+|\.\d+)")
+_NUMBER_RUN_RE = re.compile(r"[+-]?[\d.]*")
 _SLOT_RE = re.compile(r"\b(SUBJ|OBJ)\b")
 _WORD_BOUNDARY_L = r"(?<![0-9A-Za-z_])"
 _WORD_BOUNDARY_R = r"(?![0-9A-Za-z_])"
@@ -76,6 +77,27 @@ class PredicateRule:
         if (self.unit_scale is not None) != (self.object_kind == "numeric"):
             raise ValueError("unit_scale is required iff object_kind is numeric")
 
+    @cached_property
+    def _segments(self) -> tuple[tuple[re.Pattern[str], ...], tuple[str, ...]]:
+        """The pattern split at its slots: the slot names in pattern order,
+        and one regex per stretch of literal text around them (spaces match
+        any whitespace run; the first and last carry the word boundaries)."""
+        segments: list[re.Pattern[str]] = []
+        slots: list[str] = []
+        piece = _WORD_BOUNDARY_L
+        for part in _SLOT_RE.split(self.pattern):
+            if part in ("SUBJ", "OBJ"):
+                segments.append(re.compile(piece, re.IGNORECASE))
+                slots.append(part)
+                piece = ""
+            else:
+                chunks = re.split(r"(\s+)", part)
+                piece += "".join(
+                    r"\s+" if c.isspace() else re.escape(c) for c in chunks
+                )
+        segments.append(re.compile(piece + _WORD_BOUNDARY_R, re.IGNORECASE))
+        return tuple(segments), tuple(slots)
+
 
 @dataclass(frozen=True)
 class Claim:
@@ -98,20 +120,43 @@ def local_name(iri: Iri) -> str:
     return value
 
 
+def _fold(ch: str) -> str:
+    """Case key of one character: a text character matches an alias
+    character under `re.IGNORECASE` exactly when their keys are equal. `re`
+    compares the first character of each lowercase form and treats
+    lowercase letters with one uppercase form as one (s and long s, i and
+    dotless i). Every whitespace character keys as a space."""
+    return " " if ch.isspace() else ch.lower()[0].upper()
+
+
+# A scan of one text: for a position, each value a slot can take there with
+# its end, in the order a regex backtracks through them.
+_Scan = Callable[[int], list[tuple[str, int]]]
+
+
+def _numbers_at(text: str, pos: int) -> list[tuple[str, int]]:
+    """Number tokens at `pos`, longest first: the order in which a regex
+    backtracks into NUMBER_TOKEN_RE, whose every way to match ends at a
+    different place."""
+    end = _NUMBER_RUN_RE.match(text, pos).end()
+    return [
+        (text[pos:e], e)
+        for e in range(end, pos, -1)
+        if NUMBER_TOKEN_RE.fullmatch(text, pos, e)
+    ]
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Lowercased surface-form → entity map built from graph labels.
 
-    The alias alternation and the regexes built on it are compiled on
-    first use and kept for the lexicon's lifetime, so `alias_to_iri` must
-    not change once the lexicon is in use.
+    Text is matched against the aliases through a character trie keyed by
+    `_fold`, built on first use and kept for the lexicon's lifetime, so
+    `alias_to_iri` must not change once the lexicon is in use.
     """
 
     alias_to_iri: dict[str, Iri]
     conflicts: tuple[LexiconConflict, ...] = ()
-    _rule_regexes: dict[PredicateRule, re.Pattern[str] | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def resolve(self, surface: str) -> Iri | None:
         return self.alias_to_iri.get(_normalize_alias(surface))
@@ -120,32 +165,54 @@ class Lexicon:
         return len(self.alias_to_iri)
 
     @cached_property
-    def _alias_alternation(self) -> str | None:
-        """Alternation over all aliases, longest first, spaces matching any
-        whitespace run. None when the lexicon is empty."""
-        if not self.alias_to_iri:
-            return None
-        ordered = sorted(self.alias_to_iri, key=lambda a: (-len(a), a))
-        parts = []
-        for alias in ordered:
-            chunks = [re.escape(c) for c in alias.split(" ")]
-            parts.append(r"\s+".join(chunks))
-        return "|".join(parts)
+    def _trie(self) -> dict:
+        """Nested dicts keyed by `_fold` of each alias character; the key ""
+        holds the aliases ending at a node, all of one length, sorted."""
+        root: dict = {}
+        for alias in sorted(self.alias_to_iri):
+            node = root
+            # Aliases are lowercase with single spaces: there `_fold` is upper.
+            for key in map(str.upper, alias):
+                child = node.get(key)
+                if child is None:
+                    child = node[key] = {}
+                node = child
+            node.setdefault("", []).append(alias)
+        return root
 
-    @cached_property
-    def _mention_regex(self) -> re.Pattern[str] | None:
-        aliases = self._alias_alternation
-        if aliases is None:
-            return None
-        return re.compile(
-            _WORD_BOUNDARY_L + f"(?:{aliases})" + _WORD_BOUNDARY_R, re.IGNORECASE
-        )
+    def _scan(self, text: str) -> _Scan:
+        """A memoized alias scan of `text`, in the preference order of an
+        alternation sorted by (-len(alias), alias). A space in an alias
+        consumes a whole whitespace run, as `\\s+` does in the alternation:
+        a shorter run is followed by whitespace, which no alias character
+        matches."""
+        keys = [_fold(c) for c in text]
+        n = len(keys)
+        trie = self._trie
+        memo: dict[int, list[tuple[str, int]]] = {}
 
-    def _rule_regex(self, rule: PredicateRule) -> re.Pattern[str] | None:
-        if rule not in self._rule_regexes:
-            # Threads racing here compile equal regexes; whichever lands is right.
-            self._rule_regexes[rule] = _compile_rule(rule, self._alias_alternation)
-        return self._rule_regexes[rule]
+        def aliases_at(start: int) -> list[tuple[str, int]]:
+            found = memo.get(start)
+            if found is not None:
+                return found
+            node, hits, i = trie, [], start
+            while i < n:
+                key = keys[i]
+                node = node.get(key)
+                if node is None:
+                    break
+                i += 1
+                if key == " ":
+                    while i < n and keys[i] == " ":
+                        i += 1
+                if "" in node:
+                    hits.append((node[""], i))
+            found = memo[start] = [
+                (alias, end) for aliases, end in reversed(hits) for alias in aliases
+            ]
+            return found
+
+        return aliases_at
 
 
 def build_lexicon(graph: Graph, label_predicates: Sequence[Iri]) -> Lexicon:
@@ -189,27 +256,38 @@ def build_lexicon(graph: Graph, label_predicates: Sequence[Iri]) -> Lexicon:
     return Lexicon(entries, tuple(conflicts))
 
 
-def _compile_rule(rule: PredicateRule, aliases: str | None) -> re.Pattern[str] | None:
-    if aliases is None:
+def _matches(
+    segments: Sequence[re.Pattern[str]], scans: Sequence[_Scan], text: str
+) -> Iterator[tuple[int, int, list[str]]]:
+    """`finditer` over the regex that joins `segments` with one slot between
+    each pair: leftmost, non-overlapping matches as (start, end, slot values).
+
+    Each slot backtracks over its scan's values in order. A segment is taken
+    at its first match only: it is literal text, so before a slot it can end
+    elsewhere only inside a whitespace run, where no slot value starts.
+    """
+
+    def rest(k: int, pos: int) -> tuple[list[str], int] | None:
+        for value, end in scans[k](pos):
+            m = segments[k + 1].match(text, end)
+            if m is None:
+                continue
+            if k + 1 == len(scans):
+                return [value], m.end()
+            found = rest(k + 1, m.end())
+            if found is not None:
+                return [value, *found[0]], found[1]
         return None
-    pieces: list[str] = []
-    for part in _SLOT_RE.split(rule.pattern):
-        if part == "SUBJ":
-            pieces.append(f"(?P<subj>{aliases})")
-        elif part == "OBJ":
-            if rule.object_kind == "numeric":
-                pieces.append(f"(?P<obj>{NUMBER_TOKEN_RE.pattern})")
-            else:
-                pieces.append(f"(?P<obj>{aliases})")
-        else:
-            chunks = re.split(r"(\s+)", part)
-            pieces.append(
-                "".join(r"\s+" if c.isspace() else re.escape(c) for c in chunks)
-            )
-    return re.compile(
-        _WORD_BOUNDARY_L + "".join(pieces) + _WORD_BOUNDARY_R,
-        re.IGNORECASE,
-    )
+
+    pos = 0
+    # A match holds a slot value, so it cannot start at the end of the text.
+    while pos < len(text) and (first := segments[0].search(text, pos)):
+        found = rest(0, first.end())
+        if found is None:
+            pos = first.start() + 1
+            continue
+        values, pos = found
+        yield first.start(), pos, values
 
 
 def extract_claims(
@@ -221,46 +299,42 @@ def extract_claims(
     aliases (longest alias wins at each position), so unresolvable mentions
     simply yield no claim. Output is ordered by span start, then rule id.
     """
+    aliases_at = lexicon._scan(text)
+    numbers_at = partial(_numbers_at, text)
     claims: list[Claim] = []
     for rule in rules:
-        rx = lexicon._rule_regex(rule)
-        if rx is None:
-            continue
-        for m in rx.finditer(text):
-            subject = lexicon.resolve(m.group("subj"))
-            if subject is None:  # pragma: no cover - alternation guarantees hit
-                continue
+        segments, slots = rule._segments
+        numeric = rule.object_kind == "numeric"
+        scans = [numbers_at if numeric and s == "OBJ" else aliases_at for s in slots]
+        for start, end, values in _matches(segments, scans, text):
+            found = dict(zip(slots, values))
             obj: Iri | Literal
-            if rule.object_kind == "numeric":
-                value = parse_decimal(m.group("obj")) * rule.unit_scale
+            if numeric:
+                value = parse_decimal(found["OBJ"]) * rule.unit_scale
                 obj = Literal(decimal_lexical(value), Datatype.DECIMAL)
             else:
-                entity = lexicon.resolve(m.group("obj"))
-                if entity is None:  # pragma: no cover
-                    continue
-                obj = entity
+                obj = lexicon.alias_to_iri[found["OBJ"]]
+            subject = lexicon.alias_to_iri[found["SUBJ"]]
             claims.append(
-                Claim(
-                    Triple(subject, rule.predicate, obj),
-                    (m.start(), m.end()),
-                    rule.rule_id,
-                )
+                Claim(Triple(subject, rule.predicate, obj), (start, end), rule.rule_id)
             )
     claims.sort(key=lambda c: (c.source_span[0], c.rule_id))
     return claims
 
 
+_MENTION_SEGMENTS = (
+    re.compile(_WORD_BOUNDARY_L, re.IGNORECASE),
+    re.compile(_WORD_BOUNDARY_R, re.IGNORECASE),
+)
+
+
 def link_question_entities(question: str, lexicon: Lexicon) -> set[Iri]:
     """Entities mentioned in a question, longest alias winning on overlaps."""
-    rx = lexicon._mention_regex
-    if rx is None:
-        return set()
-    found: set[Iri] = set()
-    for m in rx.finditer(question):
-        iri = lexicon.resolve(m.group(0))
-        if iri is not None:
-            found.add(iri)
-    return found
+    scans = [lexicon._scan(question)]
+    return {
+        lexicon.alias_to_iri[alias]
+        for _, _, (alias,) in _matches(_MENTION_SEGMENTS, scans, question)
+    }
 
 
 _RULE_LINE_RE = re.compile(r'^(\S+)\s+"([^"]*)"\s*(.*)$')

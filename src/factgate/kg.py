@@ -310,21 +310,6 @@ class Graph:
             f"predicates={len(self.predicates())}"
         )
 
-    def _candidates(
-        self, s: Iri | None, p: Iri | None, o: Term | None
-    ) -> Iterable[Triple]:
-        if s is not None:
-            by_p = self._spo.get(s, {})
-            if p is not None:
-                return by_p.get(p, ())
-            # Predicates were inserted in sorted order within the subject.
-            return (t for ts in by_p.values() for t in ts)
-        if isinstance(o, Iri):
-            return self._adj.get(o, ())
-        if p is not None:
-            return self._pos.get(p, ())
-        return self._triples
-
     def match(
         self,
         s: Iri | None = None,
@@ -336,11 +321,27 @@ class Graph:
         Subject and predicate match byte-equal; a bound object matches per
         term_matches (tolerant for numeric literals).
         """
+        # Pick an index, then test only the positions it did not select.
+        if s is not None:
+            by_p = self._spo.get(s, {})
+            if p is not None:
+                found: Iterable[Triple] = by_p.get(p, ())
+            else:
+                # Predicates were inserted in sorted order within the subject.
+                found = (t for ts in by_p.values() for t in ts)
+            p = None
+        elif isinstance(o, Iri):
+            found = self._adj.get(o, ())
+        elif p is not None:
+            found, p = self._pos.get(p, ()), None
+        else:
+            found = self._triples
+        if p is None and o is None:
+            return list(found)
         return [
             t
-            for t in self._candidates(s, p, o)
-            if (s is None or t.subject == s)
-            and (p is None or t.predicate == p)
+            for t in found
+            if (p is None or t.predicate == p)
             and (o is None or term_matches(t.object, o))
         ]
 

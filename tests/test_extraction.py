@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factgate.extraction import (
+    NUMBER_TOKEN_RE,
     Claim,
     PredicateRule,
     RuleError,
+    _fold,
     build_lexicon,
     extract_claims,
     link_question_entities,
@@ -18,7 +23,18 @@ from factgate.extraction import (
     rule_for_triple,
     verbalize_triple,
 )
-from factgate.kg import Datatype, Graph, Iri, Literal, Triple, parse_ntriples
+from factgate.kg import (
+    Datatype,
+    Graph,
+    Iri,
+    Literal,
+    Triple,
+    decimal_lexical,
+    parse_decimal,
+    parse_ntriples,
+)
+
+from conftest import FIXTURES
 
 LABEL = Iri("label")
 
@@ -114,9 +130,15 @@ def test_every_lexicon_entity_is_in_the_graph():
 
 
 def test_threads_sharing_a_fresh_lexicon_agree(lexicon):
-    # `eval --jobs` shares one lexicon, whose regexes compile on first use.
-    text = "Colorado River is 2334 km long. Gila River has tributary Colorado River."
-    rules = [LENGTH_RULE, ELEV_RULE, TRIB_RULE]
+    # `eval --jobs` shares one lexicon and one rule list, whose trie and
+    # segment regexes are built on first use.
+    rules = parse_rules((FIXTURES / "rivers" / "rules.txt").read_text("utf-8"))
+    text = (
+        "Colorado River is 2334 km long. Gila River rises at 2012 meters. "
+        "Gila River ends at 43 meters. Colorado River discharges 640 cubic "
+        "meters per second. Colorado River traverses Colorado. "
+        "Colorado River has tributary Gila River."
+    )
 
     def both():
         return extract_claims(text, lexicon, rules), link_question_entities(text, lexicon)
@@ -130,7 +152,8 @@ def test_threads_sharing_a_fresh_lexicon_agree(lexicon):
     finally:
         sys.setswitchinterval(old)
     assert results == [both()] * len(results)
-    assert len(results[0][0]) == 2 and len(results[0][1]) == 2
+    assert sorted(c.rule_id for c in results[0][0]) == sorted(r.rule_id for r in rules)
+    assert len(results[0][1]) == 3
 
 
 def test_km_length_extraction_with_unit_scaling(lexicon):
@@ -300,3 +323,253 @@ def test_rule_for_triple_respects_object_kind():
     assert rule_for_triple(numeric_triple, [TRIB_RULE]) is None
     entity_triple = Triple(Iri("a"), Iri("hasTributary"), Iri("b"))
     assert rule_for_triple(entity_triple, [TRIB_RULE]) == TRIB_RULE
+
+
+# --- equivalence with the regex extractor -------------------------------------
+# The extractor the alias trie replaced: every alias, longest first, compiled
+# into one alternation at each entity slot of each rule regex, and matched
+# with `finditer`. It stays here as the oracle for the trie scan. Each slot
+# resolves to the entity of the alias the alternation matched; the replaced
+# code re-resolved the matched text through `Lexicon.resolve` instead (see
+# test_entity_is_the_alias_that_matched).
+
+_L = r"(?<![0-9A-Za-z_])"
+_R = r"(?![0-9A-Za-z_])"
+
+
+def _alias_regex(alias):
+    return r"\s+".join(re.escape(c) for c in alias.split(" "))
+
+
+def _alternation(lexicon):
+    ordered = sorted(lexicon.alias_to_iri, key=lambda a: (-len(a), a))
+    return "|".join(_alias_regex(a) for a in ordered)
+
+
+def _matched_entity(lexicon, surface):
+    """The entity of the alternation branch that matched `surface`: the first
+    alias in preference order that matches all of it."""
+    for alias in sorted(lexicon.alias_to_iri, key=lambda a: (-len(a), a)):
+        if re.fullmatch(_alias_regex(alias), surface, re.IGNORECASE):
+            return lexicon.alias_to_iri[alias]
+
+
+def _oracle_rule_regex(rule, aliases):
+    pieces = []
+    for part in re.split(r"\b(SUBJ|OBJ)\b", rule.pattern):
+        if part == "SUBJ":
+            pieces.append(f"(?P<subj>{aliases})")
+        elif part == "OBJ":
+            if rule.object_kind == "numeric":
+                pieces.append(f"(?P<obj>{NUMBER_TOKEN_RE.pattern})")
+            else:
+                pieces.append(f"(?P<obj>{aliases})")
+        else:
+            chunks = re.split(r"(\s+)", part)
+            pieces.append(
+                "".join(r"\s+" if c.isspace() else re.escape(c) for c in chunks)
+            )
+    return re.compile(_L + "".join(pieces) + _R, re.IGNORECASE)
+
+
+def oracle_extract_claims(text, lexicon, rules):
+    if not lexicon.alias_to_iri:
+        return []
+    aliases = _alternation(lexicon)
+    claims = []
+    for rule in rules:
+        for m in _oracle_rule_regex(rule, aliases).finditer(text):
+            subject = _matched_entity(lexicon, m.group("subj"))
+            if rule.object_kind == "numeric":
+                value = parse_decimal(m.group("obj")) * rule.unit_scale
+                obj = Literal(decimal_lexical(value), Datatype.DECIMAL)
+            else:
+                obj = _matched_entity(lexicon, m.group("obj"))
+            claims.append(
+                Claim(Triple(subject, rule.predicate, obj), (m.start(), m.end()), rule.rule_id)
+            )
+    claims.sort(key=lambda c: (c.source_span[0], c.rule_id))
+    return claims
+
+
+def oracle_link_question_entities(question, lexicon):
+    if not lexicon.alias_to_iri:
+        return set()
+    rx = re.compile(_L + f"(?:{_alternation(lexicon)})" + _R, re.IGNORECASE)
+    return {_matched_entity(lexicon, m.group(0)) for m in rx.finditer(question)}
+
+
+def _fixture_lexicon(name):
+    graph = parse_ntriples((FIXTURES / name / "graph.nt").read_text("utf-8"))
+    return build_lexicon(graph, [LABEL])
+
+
+# Aliases sharing prefixes, pairs that fold to one trie path ("star" and
+# "ſtar", "idris" and "ıdris"), aliases starting with a digit, and some
+# holding punctuation.
+_PREFIX_LABELS = [
+    "Tavo River", "Tavo River 3", "Big Tavo River", "Tavo", "River",
+    "star", "ſtar", "idris", "ıdris", "Straße", "3 forks", "St. Mary River",
+    "O'Neil Creek", "5.x", "Kelvin Lake", "5.5.x",
+]
+PREFIX_LEXICON = build_lexicon(
+    parse_ntriples(
+        "\n".join(f'<e{i}> <label> "{name}" .' for i, name in enumerate(_PREFIX_LABELS))
+    ),
+    [LABEL],
+)
+LEXICONS = [_fixture_lexicon("rivers"), _fixture_lexicon("philosophers"), PREFIX_LEXICON]
+
+# The fixture rules, plus shapes they lack: literal text before the first
+# slot, OBJ before SUBJ, a numeric OBJ glued to an entity slot by a dot (a
+# regex backtracks into the number there), punctuation between slots, and
+# trailing whitespace before the right boundary.
+EQUIVALENCE_RULES = [
+    *parse_rules((FIXTURES / "rivers" / "rules.txt").read_text("utf-8")),
+    *parse_rules((FIXTURES / "philosophers" / "rules.txt").read_text("utf-8")),
+    *parse_rules(
+        'X_of "the length of SUBJ is OBJ km" predicate=<length> kind=numeric scale=1000\n'
+        'X_into "OBJ flows into SUBJ" predicate=<hasTributary> kind=entity\n'
+        'X_dot "OBJ.SUBJ" predicate=<code> kind=numeric scale=1\n'
+        'X_dash "SUBJ-OBJ" predicate=<near> kind=entity\n'
+        'X_trail "SUBJ is near OBJ " predicate=<near> kind=entity\n'
+    ),
+]
+_WORDS = sorted(
+    {w for r in EQUIVALENCE_RULES for w in re.split(r"\s+|SUBJ|OBJ", r.pattern) if w}
+)
+_NUMBERS = ["+.5", "12.", "-3.25", "007", "2334", "1.5.3", "12-3", ".5", "+", "-", ".", "5"]
+# Characters whose case folding is not ASCII: long s, Kelvin sign, dotted
+# and dotless I, capital sharp s, micro sign, final sigma.
+_ODD = ["ſ", "K", "İ", "ı", "ẞ", "ß", "µ", "ς", "é", "x", "_", "9"]
+_SPACES = [" ", "  ", "\t", "\n", " \t\n "]
+_SEPARATORS = ["", " ", "  ", "\t", "\n", ". ", ",", "-", "."]
+_CASES = [
+    str,
+    str.upper,
+    str.title,
+    str.swapcase,
+    lambda t: t.replace("s", "ſ").replace("k", "K"),
+    lambda t: t.upper().replace("I", "İ"),
+    lambda t: t.replace("i", "ı"),
+]
+
+
+@st.composite
+def _alias_text(draw, lexicon):
+    alias = draw(st.sampled_from(sorted(lexicon.alias_to_iri)))
+    return "".join(draw(st.sampled_from(_SPACES)) if c == " " else c for c in alias)
+
+
+@st.composite
+def _sentence(draw, lexicon):
+    rule = draw(st.sampled_from(EQUIVALENCE_RULES))
+    out = []
+    for part in re.split(r"\b(SUBJ|OBJ)\b", rule.pattern):
+        if part == "OBJ" and rule.object_kind == "numeric":
+            out.append(draw(st.sampled_from(_NUMBERS)))
+        elif part in ("SUBJ", "OBJ"):
+            out.append(draw(_alias_text(lexicon)))
+        else:
+            out.append(re.sub(r" ", lambda _: draw(st.sampled_from(_SPACES)), part))
+    return "".join(out)
+
+
+@st.composite
+def _lexicon_and_text(draw):
+    lexicon = draw(st.sampled_from(LEXICONS))
+    fragment = st.one_of(
+        _sentence(lexicon),
+        _alias_text(lexicon),
+        st.sampled_from(_WORDS + _NUMBERS + _ODD),
+    )
+    parts = []
+    for _ in range(draw(st.integers(1, 8))):
+        case = draw(st.sampled_from(_CASES))
+        parts.append(case(draw(fragment)))
+        parts.append(draw(st.sampled_from(_SEPARATORS)))
+    return lexicon, "".join(parts)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_lexicon_and_text())
+def test_trie_scan_agrees_with_regex_alternation(lexicon_and_text):
+    lexicon, text = lexicon_and_text
+    assert extract_claims(text, lexicon, EQUIVALENCE_RULES) == oracle_extract_claims(
+        text, lexicon, EQUIVALENCE_RULES
+    )
+    assert link_question_entities(text, lexicon) == oracle_link_question_entities(
+        text, lexicon
+    )
+
+
+@pytest.mark.parametrize(
+    "text, subject",
+    [
+        ("TAVO RIVER 3 is 12 km long", "e1"),  # longest alias wins
+        ("big\ttavo\n river is 12 km long", "e2"),  # spaces match whitespace runs
+        ("KELVIN LAKE is 12 km long", "e14"),  # Kelvin sign is k
+        ("ſTAR is 12 km long", "e5"),  # long s is s; "star" sorts before "ſtar"
+        ("ıdris is 12 km long", "e7"),  # dotless i is i; "idris" first
+        ("İDRİS is 12 km long", "e7"),  # dotted capital I is i
+        ("STRAẞE is 12 km long", "e9"),  # capital sharp s is ß
+    ],
+)
+def test_non_ascii_case_folding_matches_the_regex(text, subject):
+    [claim] = extract_claims(text, PREFIX_LEXICON, EQUIVALENCE_RULES)
+    assert claim.triple.subject == Iri(subject)
+    assert [claim] == oracle_extract_claims(text, PREFIX_LEXICON, EQUIVALENCE_RULES)
+
+
+def test_fold_keys_agree_with_re_ignorecase():
+    # Every basic-plane character and a few astral ones against characters
+    # an alias can hold, with non-ASCII case folding among them.
+    text = "".join(map(chr, [*range(0x10000), 0x10400, 0x10428, 0x1E900, 0x1E922]))
+    by_key = {}
+    for ch in text:
+        by_key.setdefault(_fold(ch), set()).add(ch)
+    for alias_char in "azk09_.-éßſıiµμςσϐβϑθﬅﬆẛṡǆωвꙋ\u0307𐐨𞤢":
+        matched = set(re.findall(re.escape(alias_char), text, re.IGNORECASE))
+        assert matched == by_key[_fold(alias_char)], alias_char
+    whitespace = set(re.findall(r"\s", text))
+    assert whitespace == by_key[" "]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # The number "1.5" leaves "5.x"; "1" would leave the alias "5.5.x".
+        ("1.5.5.x", [("X_dot", "e13", "1.5")]),
+        # "1.5" leaves "x", no alias; the regex falls back to "1".
+        ("1.5.x", [("X_dot", "e13", "1")]),
+        # A failed match restarts one character after its start, inside the
+        # literal text it had matched.
+        ("the length of the length of tavo is 5 km", [("X_of", "e3", "5000")]),
+        # Trailing whitespace in a rule backtracks to leave a word boundary.
+        ("tavo is near river  x", [("X_trail", "e3", "e4")]),
+    ],
+)
+def test_regex_backtracking_corner_cases(text, expected):
+    claims = extract_claims(text, PREFIX_LEXICON, EQUIVALENCE_RULES)
+    assert claims == oracle_extract_claims(text, PREFIX_LEXICON, EQUIVALENCE_RULES)
+    assert [
+        (c.rule_id, c.triple.subject.value, getattr(c.triple.object, "value", None)
+         or c.triple.object.lexical)
+        for c in claims
+    ] == expected
+
+
+def test_entity_is_the_alias_that_matched():
+    # The regex matches case-insensitively under a wider folding than
+    # `str.lower`, so the replaced extractor, which re-resolved matched text
+    # through `Lexicon.resolve`, dropped some matches and moved others to a
+    # different alias. Each slot now takes the entity of the alias it matched.
+    rivers = LEXICONS[0]
+    text = "Arkanſaſ River is 2334 km long. The Arkanſaſ River."
+    assert rivers.resolve("Arkanſaſ River") is None  # was dropped
+    [claim] = extract_claims(text, rivers, EQUIVALENCE_RULES)
+    assert claim.triple.subject == Iri("River_Arkansas")
+    assert link_question_entities(text, rivers) == {Iri("River_Arkansas")}
+    assert PREFIX_LEXICON.resolve("ſtar") == Iri("e6")  # was e6, "ſtar"
+    [claim] = extract_claims("ſtar is 12 km long", PREFIX_LEXICON, EQUIVALENCE_RULES)
+    assert claim.triple.subject == Iri("e5")  # "star" precedes "ſtar"
