@@ -129,6 +129,12 @@ def _fold(ch: str) -> str:
     return " " if ch.isspace() else ch.lower()[0].upper()
 
 
+# Closes each `_fold` key in a trie prefix, so that a multi-character key
+# (`ß` folds to "SS") and two single ones ("S", "S") give different prefixes.
+# No other key contains it (`_fold("\0")` is "\0" itself), so every prefix
+# splits back into its keys one way.
+_KEY_END = "\0"
+
 # A scan of one text: for a position, each value a slot can take there with
 # its end, in the order a regex backtracks through them.
 _Scan = Callable[[int], list[tuple[str, int]]]
@@ -165,20 +171,23 @@ class Lexicon:
         return len(self.alias_to_iri)
 
     @cached_property
-    def _trie(self) -> dict:
-        """Nested dicts keyed by `_fold` of each alias character; the key ""
-        holds the aliases ending at a node, all of one length, sorted."""
-        root: dict = {}
-        for alias in sorted(self.alias_to_iri):
-            node = root
-            # Aliases are lowercase with single spaces: there `_fold` is upper.
-            for key in map(str.upper, alias):
-                child = node.get(key)
-                if child is None:
-                    child = node[key] = {}
-                node = child
-            node.setdefault("", []).append(alias)
-        return root
+    def _trie(self) -> dict[str, tuple[str, ...]]:
+        """The trie as one flat dict: each alias prefix, keyed by its `_fold`
+        keys each closed by `_KEY_END`, maps to the aliases ending there,
+        all of one length, sorted (`()` for a prefix that only continues).
+        Its keys are strings and most values the one empty tuple, so a build
+        leaves the cyclic garbage collector few new objects to track."""
+        aliases = sorted(self.alias_to_iri)
+        # Aliases are lowercase with single spaces: there `_fold` is upper.
+        closed = {c: c.upper() + _KEY_END for c in set("".join(aliases))}
+        trie: dict[str, tuple[str, ...]] = {}
+        for alias in aliases:
+            prefix = ""
+            for key in map(closed.__getitem__, alias):
+                prefix += key
+                trie.setdefault(prefix, ())
+            trie[prefix] += (alias,)
+        return trie
 
     def _scan(self, text: str) -> _Scan:
         """A memoized alias scan of `text`, in the preference order of an
@@ -186,7 +195,8 @@ class Lexicon:
         consumes a whole whitespace run, as `\\s+` does in the alternation:
         a shorter run is followed by whitespace, which no alias character
         matches."""
-        keys = [_fold(c) for c in text]
+        keys = [_fold(c) + _KEY_END for c in text]
+        space = " " + _KEY_END
         n = len(keys)
         trie = self._trie
         memo: dict[int, list[tuple[str, int]]] = {}
@@ -195,18 +205,19 @@ class Lexicon:
             found = memo.get(start)
             if found is not None:
                 return found
-            node, hits, i = trie, [], start
+            prefix, hits, i = "", [], start
             while i < n:
                 key = keys[i]
-                node = node.get(key)
-                if node is None:
+                prefix += key
+                aliases = trie.get(prefix)
+                if aliases is None:
                     break
                 i += 1
-                if key == " ":
-                    while i < n and keys[i] == " ":
+                if key == space:
+                    while i < n and keys[i] == space:
                         i += 1
-                if "" in node:
-                    hits.append((node[""], i))
+                if aliases:
+                    hits.append((aliases, i))
             found = memo[start] = [
                 (alias, end) for aliases, end in reversed(hits) for alias in aliases
             ]

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -46,7 +46,7 @@ class Datatype(str, Enum):
     INTEGER = "integer"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     """An absolute IRI. Equality is byte equality; no normalization."""
 
@@ -62,7 +62,7 @@ class Iri:
 RDF_TYPE = Iri(RDF_TYPE_IRI)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A typed literal value.
 
@@ -94,7 +94,7 @@ class Literal:
 Term = Iri | Literal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Iri
     predicate: Iri
@@ -148,9 +148,9 @@ def _unescape_one(m: re.Match[str]) -> str:
     return _UNESCAPE[m.group(1)]
 
 
-def _parse_object(token: str) -> Term:
+def _parse_object(token: str, iri: Callable[[str], Iri]) -> Term:
     if token.startswith("<") and token.endswith(">"):
-        return Iri(token[1:-1])
+        return iri(token[1:-1])
     m = _LITERAL_OBJ_RE.match(token)
     if m is None:
         raise ValueError(f"malformed object term: {token!r}")
@@ -168,27 +168,42 @@ def _parse_object(token: str) -> Term:
     return Literal(lexical, datatype)
 
 
-def parse_ntriples_line(line: str) -> Triple:
-    """Parse one `<s> <p> o .` line. Raises ValueError on malformed input."""
-    m = _LINE_RE.match(line.strip())
+def _parse_line(line: str, iri: Callable[[str], Iri]) -> Triple:
+    m = _LINE_RE.match(line)
     if m is None:
         raise ValueError("expected `<subject> <predicate> object .`")
-    return Triple(Iri(m.group(1)), Iri(m.group(2)), _parse_object(m.group(3)))
+    return Triple(iri(m.group(1)), iri(m.group(2)), _parse_object(m.group(3), iri))
+
+
+def parse_ntriples_line(line: str) -> Triple:
+    """Parse one `<s> <p> o .` line. Raises ValueError on malformed input."""
+    return _parse_line(line.strip(), Iri)
+
+
+class _IriTable(dict):
+    """One parse's IRI table: looking up an IRI string gives the one `Iri`
+    made for it, validated on its first occurrence."""
+
+    def __missing__(self, value: str) -> Iri:
+        iri = self[value] = Iri(value)
+        return iri
 
 
 def iter_ntriples(source: str | IO[str]) -> Iterator[Triple]:
     """Yield the triples of N-Triples text in text order, lazily.
 
     Blank lines and `#` comment lines are skipped. A malformed line raises
-    a ParseError carrying its line number when it is reached.
+    a ParseError carrying its line number when it is reached. Every
+    occurrence of one IRI string in the text yields the same `Iri` object.
     """
+    iri = _IriTable().__getitem__
     lines = source.splitlines() if isinstance(source, str) else source
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            triple = parse_ntriples_line(stripped)
+            triple = _parse_line(stripped, iri)
         except ValueError as exc:
             raise ParseError(number, str(exc)) from exc
         yield triple
@@ -250,11 +265,14 @@ def serialize_ntriples(triples: Iterable[Triple]) -> str:
 class Graph:
     """Immutable indexed triple set.
 
-    Triples are held in sorted order. Three indexes, keyed by the terms
-    themselves, back the pattern lookups: subject -> predicate -> triples,
-    predicate -> triples, and IRI node -> incident triples. Every index
-    list is a run of the sorted order, so all query results come out
-    sorted, and every lookup is equivalent to a linear scan.
+    Triples are held in sorted order, each addressed by its rank (its
+    position in that order). Two indexes, keyed by the terms themselves,
+    back the subject and predicate lookups: subject -> predicate ->
+    triples, and predicate -> triples; each list is a run of the sorted
+    order. The adjacency maps each IRI node to the ascending ranks of the
+    triples whose subject or object it is, which serve object lookups and
+    retrieval. All query results come out sorted, and every lookup is
+    equivalent to a linear scan.
     """
 
     __slots__ = ("_triples", "_spo", "_pos", "_adj")
@@ -265,13 +283,13 @@ class Graph:
         )
         spo: dict[Iri, dict[Iri, list[Triple]]] = {}
         pos: dict[Iri, list[Triple]] = {}
-        adj: dict[Iri, list[Triple]] = {}
-        for t in self._triples:
+        adj: dict[Iri, list[int]] = {}
+        for rank, t in enumerate(self._triples):
             spo.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t)
             pos.setdefault(t.predicate, []).append(t)
-            adj.setdefault(t.subject, []).append(t)
+            adj.setdefault(t.subject, []).append(rank)
             if isinstance(t.object, Iri) and t.object != t.subject:
-                adj.setdefault(t.object, []).append(t)
+                adj.setdefault(t.object, []).append(rank)
         self._spo = spo
         self._pos = pos
         self._adj = adj
@@ -331,7 +349,7 @@ class Graph:
                 found = (t for ts in by_p.values() for t in ts)
             p = None
         elif isinstance(o, Iri):
-            found = self._adj.get(o, ())
+            found = map(self._triples.__getitem__, self._adj.get(o, ()))
         elif p is not None:
             found, p = self._pos.get(p, ()), None
         else:
@@ -354,10 +372,6 @@ class Graph:
         """Entailment check: membership with tolerant numeric matching."""
         return self.find_supporting(triple) is not None
 
-    def incident(self, node: Iri) -> list[Triple]:
-        """Triples whose subject or IRI object is the given node, sorted."""
-        return self._adj.get(node, [])
-
 
 def retrieve_subgraph(
     graph: Graph, seeds: Iterable[Iri], max_hops: int
@@ -367,28 +381,32 @@ def retrieve_subgraph(
     Hop 1 collects all triples incident to a seed; each later hop expands
     from IRI terms newly reached in the previous one. Literal objects are
     never expanded. Returns the collected triples as a sorted tuple, ready
-    for serialize_ntriples.
+    for serialize_ntriples. The walk runs over the graph's triple ranks:
+    its cost grows with the triples it collects, and the result takes its
+    order from the graph's.
     """
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
+    triples, adj = graph._triples, graph._adj
     frontier = set(seeds)
     visited = set(frontier)
-    collected: set[Triple] = set()
+    collected: set[int] = set()
     for _ in range(max_hops):
         if not frontier:
             break
         reached: set[Iri] = set()
         for node in frontier:
-            for t in graph.incident(node):
-                if t in collected:
+            for rank in adj.get(node, ()):
+                if rank in collected:
                     continue
-                collected.add(t)
+                collected.add(rank)
+                t = triples[rank]
                 reached.add(t.subject)
                 if isinstance(t.object, Iri):
                     reached.add(t.object)
         frontier = reached - visited
         visited |= frontier
-    return tuple(sorted(collected, key=triple_sort_key))
+    return tuple(triples[rank] for rank in sorted(collected))
 
 
 def parse_decimal(text: str) -> Decimal:

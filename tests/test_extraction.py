@@ -521,6 +521,21 @@ def test_non_ascii_case_folding_matches_the_regex(text, subject):
     assert [claim] == oracle_extract_claims(text, PREFIX_LEXICON, EQUIVALENCE_RULES)
 
 
+def test_multi_character_fold_key_is_one_trie_step():
+    # "ß" folds to the two-character key "SS". Were the keys of a prefix
+    # joined bare, "stras" (of "Strasbourg") plus "s" would reach the prefix
+    # of "straße", and "Strasse" would match it; the regex does not.
+    lexicon = build_lexicon(
+        parse_ntriples('<a> <label> "Straße" .\n<b> <label> "Strasbourg" .'), [LABEL]
+    )
+    text = "Strasse is 12 km long"
+    assert extract_claims(text, lexicon, EQUIVALENCE_RULES) == []
+    assert oracle_extract_claims(text, lexicon, EQUIVALENCE_RULES) == []
+    assert link_question_entities(text, lexicon) == set()
+    [claim] = extract_claims("STRAẞE is 12 km long", lexicon, EQUIVALENCE_RULES)
+    assert claim.triple.subject == Iri("a")
+
+
 def test_fold_keys_agree_with_re_ignorecase():
     # Every basic-plane character and a few astral ones against characters
     # an alias can hold, with non-ASCII case folding among them.

@@ -5,6 +5,8 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factgate.kg import (
     NUMERIC_REL_TOL,
@@ -101,6 +103,29 @@ def test_parse_skips_blanks_comments_and_dedups():
     text = "\n# comment\n<a> <p> <b> .\n<a> <p> <b> .\n"
     g = parse_ntriples(text)
     assert len(g) == 1
+
+
+def test_parse_gives_one_object_per_iri():
+    # "a" and "p" occur in all three positions, "b" as subject and object.
+    g = parse_ntriples(
+        "<a> <p> <b> .\n<b> <p> <a> .\n<b> <a> <p> .\n<p> <q> <p> .\n<a> <q> \"1\" ."
+    )
+    by_value: dict[str, Iri] = {}
+    for t in g:
+        for term in (t.subject, t.predicate, t.object):
+            if isinstance(term, Iri):
+                assert by_value.setdefault(term.value, term) is term
+    assert sorted(by_value) == ["a", "b", "p", "q"]
+    # The table lives for one parse only.
+    again = parse_ntriples("<a> <p> <b> .")
+    assert again.triples[0].subject is not by_value["a"]
+
+
+def test_terms_and_triples_have_no_instance_dict():
+    g = parse_ntriples('<a> <p> "x" .\n<a> <q> "1.5" .\n<a> <r> <b> .')
+    for t in g:
+        for obj in (t, t.subject, t.predicate, t.object):
+            assert not hasattr(obj, "__dict__"), obj
 
 
 def test_parse_accepts_stream_input():
@@ -292,6 +317,80 @@ def test_bfs_matches_independent_oracle_on_random_fixture():
     sub = retrieve_subgraph(g, seeds, max_hops=3)
     assert set(sub) == bfs_oracle(g, seeds, 3)
     assert isinstance(sub, tuple) and list(sub) == [t for t in g if t in sub]
+
+
+_NODES = [Iri(f"n{i}") for i in range(5)]
+# IRI objects that are never subjects.
+_SINKS = [Iri(f"sink{i}") for i in range(2)]
+# A node as object allows self-loops; the string literal spells a node's IRI
+# and must still never be expanded.
+_OBJECTS = [
+    *_NODES,
+    *_SINKS,
+    Literal("n0", Datatype.STRING),
+    Literal("7", Datatype.DECIMAL),
+    Literal("7", Datatype.INTEGER),
+]
+
+
+@st.composite
+def _graph_and_seeds(draw):
+    triples = draw(
+        st.lists(
+            st.builds(
+                Triple,
+                st.sampled_from(_NODES),
+                st.sampled_from([Iri("p0"), Iri("p1")]),
+                st.sampled_from(_OBJECTS),
+            ),
+            max_size=30,
+        )
+    )
+    # Some seeds are absent from the graph: "absent" always, any other term
+    # when no drawn triple mentions it.
+    candidates = [*_NODES, *_SINKS, Iri("absent"), Iri("p0")]
+    seeds = draw(st.sets(st.sampled_from(candidates), max_size=4))
+    return Graph(triples), seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_seeds(), st.integers(1, 4))
+def test_retrieval_agrees_with_bfs_oracle(graph_and_seeds, max_hops):
+    g, seeds = graph_and_seeds
+    oracle = bfs_oracle(g, seeds, max_hops)
+    assert retrieve_subgraph(g, seeds, max_hops) == tuple(t for t in g if t in oracle)
+
+
+def _copy_term(term):
+    if isinstance(term, Iri):
+        return Iri(term.value)
+    return Literal(term.lexical, term.datatype)
+
+
+def test_graph_of_separately_built_terms_answers_like_the_parsed_one():
+    parsed = parse_ntriples(
+        "<a> <p> <b> .\n<b> <p> <c> .\n<c> <q> <a> .\n<a> <q> <a> .\n"
+        '<b> <q> "2.5" .\n<c> <p> "b" .\n<d> <p> <b> .'
+    )
+    built = Graph(
+        Triple(*map(_copy_term, (t.subject, t.predicate, t.object))) for t in parsed
+    )
+    assert built == parsed
+    assert built.triples[0].subject is not parsed.triples[0].subject
+    # Query terms are built separately from both graphs' terms too.
+    terms = [None, Iri("a"), Iri("b"), Iri("d"), Iri("zz")]
+    objects = [*terms, lit("2.50"), Literal("b", Datatype.STRING)]
+    for s in terms:
+        for p in [None, Iri("p"), Iri("q")]:
+            for o in objects:
+                got = built.match(s, p, o)
+                assert got == parsed.match(s, p, o) == scan_match(parsed, s, p, o)
+    for seeds in ({Iri("a")}, {Iri("d")}, {Iri("c"), Iri("zz")}):
+        for k in (1, 2, 3):
+            oracle = bfs_oracle(parsed, seeds, k)
+            got = retrieve_subgraph(built, seeds, k)
+            assert got == retrieve_subgraph(parsed, seeds, k)
+            assert got == tuple(t for t in parsed if t in oracle)
 
 
 def test_subgraph_monotone_in_hops():
