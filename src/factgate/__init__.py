@@ -5,134 +5,47 @@ RDF triple store and validated against declarative constraints; only fully
 licensed responses are emitted, everything else becomes a deterministic
 abstention with full provenance. An evaluation harness scores runs with
 five epistemic-reliability metrics.
+
+The package exports the names of the README's library example and of the
+benchmark harness; everything else is imported from its submodule.
 """
 
-from .constraints import (
-    ConstraintSet,
-    ManifestError,
-    ValidationReport,
-    Violation,
-    parse_manifest,
-    validate_claim,
-    validate_graph,
-)
-from .evaluation import (
-    Condition,
-    EvalMetrics,
-    QAItem,
-    Responded,
-    ResultRecord,
-    answer_matches,
-    compute_metrics,
-    load_dataset,
-    read_result_log,
-    render_report,
-    run_condition,
-    write_result_log,
-)
-from .extraction import (
-    Claim,
-    Lexicon,
-    PredicateRule,
-    RuleError,
-    build_lexicon,
-    extract_claims,
-    link_question_entities,
-    parse_rules,
-)
+from .constraints import ValidationReport, parse_manifest, validate_graph
+from .evaluation import Condition, compute_metrics, load_dataset
+from .extraction import Claim, build_lexicon, parse_rules
 from .gate import (
     ABSTENTION_TEXT,
-    AbstainReason,
     AuditRecord,
     LicensingDecision,
     Verdict,
-    audit_claim,
-    decide,
-    decision_to_json,
     run_pipeline,
 )
-from .generators import (
-    AuthError,
-    GeneratorConfig,
-    GeneratorError,
-    HttpGenerator,
-    MissingAnswerKey,
-    MockBehavior,
-    MockMode,
-    RequestTimeout,
-    UpstreamError,
-    generate_mock,
-    mock_generator,
-)
-from .kg import (
-    Datatype,
-    Graph,
-    Iri,
-    Literal,
-    ParseError,
-    Triple,
-    parse_ntriples,
-    retrieve_subgraph,
-    serialize_ntriples,
-)
+from .generators import MockBehavior, MockMode, mock_generator
+from .kg import Datatype, Iri, Literal, Triple, parse_ntriples
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ABSTENTION_TEXT",
-    "AbstainReason",
     "AuditRecord",
-    "AuthError",
     "Claim",
     "Condition",
-    "ConstraintSet",
     "Datatype",
-    "EvalMetrics",
-    "GeneratorConfig",
-    "GeneratorError",
-    "Graph",
-    "HttpGenerator",
     "Iri",
     "LicensingDecision",
-    "Lexicon",
     "Literal",
-    "ManifestError",
-    "MissingAnswerKey",
     "MockBehavior",
     "MockMode",
-    "ParseError",
-    "PredicateRule",
-    "QAItem",
-    "RequestTimeout",
-    "Responded",
-    "ResultRecord",
-    "RuleError",
     "Triple",
-    "UpstreamError",
     "ValidationReport",
     "Verdict",
-    "Violation",
-    "answer_matches",
-    "audit_claim",
     "build_lexicon",
     "compute_metrics",
-    "decide",
-    "decision_to_json",
-    "extract_claims",
-    "generate_mock",
-    "link_question_entities",
     "load_dataset",
     "mock_generator",
     "parse_manifest",
     "parse_ntriples",
     "parse_rules",
-    "read_result_log",
-    "render_report",
-    "retrieve_subgraph",
-    "run_condition",
     "run_pipeline",
-    "serialize_ntriples",
-    "validate_claim",
     "validate_graph",
-    "write_result_log",
 ]

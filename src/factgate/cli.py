@@ -26,6 +26,7 @@ from .evaluation import (
     Condition,
     DatasetError,
     DuplicateId,
+    UnknownItem,
     compute_metrics,
     constant_factory,
     load_dataset,
@@ -136,7 +137,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     constraints = _load_constraints(args.constraints)
     report = validate_graph(graph, constraints)
-    print(graph.stats_line())
+    print(
+        f"triples={len(graph)} subjects={len({t.subject for t in graph})} "
+        f"predicates={len({t.predicate for t in graph})}"
+    )
     print(f"conforms={'true' if report.conforms else 'false'}")
     for v in report.violations:
         print(
@@ -206,7 +210,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     if args.output:
         write_result_log(records, args.output)
-    metrics = compute_metrics(dataset, records)
+    try:
+        metrics = compute_metrics(dataset, records)
+    except UnknownItem as exc:
+        raise CliError(f"result log {args.from_log!r}: {exc}") from exc
     print(render_report([(condition.value, metrics)]), end="")
     return EXIT_OK
 
@@ -225,6 +232,13 @@ class _Repeatable(argparse.Action):
         setattr(namespace, self.dest, [*items, values])
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
     parser.add_argument("--graph", required=True, help="N-Triples graph file")
     parser.add_argument("--constraints", required=True, help="constraint manifest file")
@@ -236,7 +250,7 @@ def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
             default=["label"],
             help="label predicate IRI for the lexicon (repeatable; default: label)",
         )
-        parser.add_argument("--max-hops", type=int, default=3)
+        parser.add_argument("--max-hops", type=_positive_int, default=3)
         parser.add_argument(
             "--no-claims",
             choices=("abstain", "answer"),
@@ -287,7 +301,7 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
         items = value if repeated and isinstance(value, list) else [value]
         try:
             checked = [_flag_value(action, v) for v in items]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise CliError(f"config {path!r}: bad {key!r}: {exc}") from exc
         defaults[action.dest] = checked if repeated else checked[0]
     return defaults
@@ -324,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("baseline", "context_only", "oracle"),
     )
-    p_eval.add_argument("--jobs", type=int, default=1)
+    p_eval.add_argument("--jobs", type=_positive_int, default=1)
     p_eval.add_argument("--output", default=None, help="result log JSONL path")
     p_eval.add_argument(
         "--from-log", default=None, help="re-score an existing result log"

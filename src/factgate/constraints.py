@@ -14,6 +14,7 @@ skipped, except under ConditionalRequirement which demands presence.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache, partial
@@ -193,7 +194,12 @@ class ClassOfObject(_TripleCheck):
         ]
 
 
-_BOUND_OPS = {"min_exclusive": ">", "min_inclusive": ">=", "max_inclusive": "<="}
+# Each bound kind: the symbol its message shows, and the check a value passes.
+_BOUNDS = {
+    "min_exclusive": (">", operator.gt),
+    "min_inclusive": (">=", operator.ge),
+    "max_inclusive": ("<=", operator.le),
+}
 
 
 @dataclass(frozen=True)
@@ -206,24 +212,18 @@ class NumericBound(_NodeCheck):
     property: Iri
     bound: Decimal
 
-    def _ok(self, value: Decimal) -> bool:
-        if self.kind == "min_exclusive":
-            return value > self.bound
-        if self.kind == "min_inclusive":
-            return value >= self.bound
-        return value <= self.bound  # max_inclusive
-
     def check_node(self, graph: _GraphLike, node: Iri) -> list[Violation]:
+        symbol, ok = _BOUNDS[self.kind]
         out = []
         for value, t in _numeric_values(graph, node, self.property):
-            if not self._ok(value):
+            if not ok(value, self.bound):
                 out.append(
                     Violation(
                         self.id,
                         node,
                         t,
                         f"<{self.property.value}> value "
-                        f"{decimal_lexical(value)} is not {_BOUND_OPS[self.kind]} "
+                        f"{decimal_lexical(value)} is not {symbol} "
                         f"{decimal_lexical(self.bound)}",
                     )
                 )
@@ -412,7 +412,7 @@ def parse_manifest(text: str) -> ConstraintSet:
                 predicate=_take_iri(kv, "predicate", number),
                 target_class=_take_iri(kv, "class", number),
             )
-        elif kind in ("min_exclusive", "min_inclusive", "max_inclusive"):
+        elif kind in _BOUNDS:
             constraint = NumericBound(
                 cid,
                 kind,

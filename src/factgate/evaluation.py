@@ -19,30 +19,22 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .constraints import ConstraintSet
-from .extraction import (
-    NUMBER_TOKEN_RE,
-    Lexicon,
-    PredicateRule,
-    link_question_entities,
-)
-from .gate import AbstainReason, Verdict, run_pipeline
+from .extraction import NUMBER_TOKEN_RE, Lexicon, PredicateRule
+from .gate import AbstainReason, Verdict, build_context, run_pipeline
 from .generators import GeneratorError, GeneratorFn, MockBehavior, mock_generator
-from .kg import (
-    Graph,
-    Triple,
-    parse_ntriples_line,
-    retrieve_subgraph,
-    serialize_ntriples,
-)
+from .kg import Graph, Triple, parse_ntriples_line
+
+T = TypeVar("T")
 
 
 class DatasetError(Exception):
@@ -181,9 +173,12 @@ def _parse_item(payload: dict, line: int) -> QAItem:
         raise DatasetError(line, str(exc)) from exc
 
 
-def load_dataset(path: str | Path) -> list[QAItem]:
-    """Load a JSONL QA dataset; ids must be unique."""
-    items: list[QAItem] = []
+def _read_jsonl(
+    path: str | Path, parse: Callable[[dict, int], T], key: Callable[[T], str]
+) -> list[T]:
+    """`parse(payload, line)` over each non-blank line of a JSONL file; the
+    `key` of each parsed value must be unique."""
+    values: list[T] = []
     seen: set[str] = set()
     text = Path(path).read_text(encoding="utf-8")
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -194,12 +189,17 @@ def load_dataset(path: str | Path) -> list[QAItem]:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(number, f"bad JSON: {exc}") from exc
-        item = _parse_item(payload, number)
-        if item.id in seen:
-            raise DuplicateId(item.id)
-        seen.add(item.id)
-        items.append(item)
-    return items
+        value = parse(payload, number)
+        if (value_key := key(value)) in seen:
+            raise DuplicateId(value_key)
+        seen.add(value_key)
+        values.append(value)
+    return values
+
+
+def load_dataset(path: str | Path) -> list[QAItem]:
+    """Load a JSONL QA dataset; ids must be unique."""
+    return _read_jsonl(path, _parse_item, lambda item: item.id)
 
 
 def record_to_dict(record: ResultRecord) -> dict:
@@ -242,23 +242,7 @@ def write_result_log(records: Iterable[ResultRecord], path: str | Path) -> None:
 def read_result_log(path: str | Path) -> list[ResultRecord]:
     """Ingest a ResultRecord JSONL, e.g. a published external run; item
     ids must be unique."""
-    records = []
-    seen: set[str] = set()
-    text = Path(path).read_text(encoding="utf-8")
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(number, f"bad JSON: {exc}") from exc
-        record = record_from_dict(payload, number)
-        if record.item_id in seen:
-            raise DuplicateId(record.item_id)
-        seen.add(record.item_id)
-        records.append(record)
-    return records
+    return _read_jsonl(path, record_from_dict, lambda record: record.item_id)
 
 
 # --- grading -------------------------------------------------------------------
@@ -336,11 +320,9 @@ def run_condition(
             )
 
     def _run_ungated_item(item: QAItem, gen: GeneratorFn) -> ResultRecord:
+        context = ""
         if condition is Condition.CONTEXT_ONLY:
-            seeds = link_question_entities(item.question, lexicon)
-            context = serialize_ntriples(retrieve_subgraph(graph, seeds, max_hops))
-        else:
-            context = ""
+            context = build_context(item.question, graph, lexicon, max_hops)
         response = gen(item.question, context)
         # No abstention mechanism: the response is always graded as answered.
         return ResultRecord(
@@ -406,12 +388,7 @@ def compute_metrics(
     """
     by_id = {item.id: item for item in dataset}
     seen: set[str] = set()
-    c = dict(
-        total=0, answered=0, correct_answered=0, abstentions=0,
-        appropriate_abstentions=0, violating_total=0, violating_rejected=0,
-        nonentailed_total=0, nonentailed_false_answers=0,
-        entailed_licensed=0, entailed_licensed_correct=0,
-    )
+    c: Counter[str] = Counter()
     for record in records:
         item = by_id.get(record.item_id)
         if item is None:

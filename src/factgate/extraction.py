@@ -164,9 +164,6 @@ class Lexicon:
     alias_to_iri: dict[str, Iri]
     conflicts: tuple[LexiconConflict, ...] = ()
 
-    def resolve(self, surface: str) -> Iri | None:
-        return self.alias_to_iri.get(_normalize_alias(surface))
-
     def __len__(self) -> int:
         return len(self.alias_to_iri)
 

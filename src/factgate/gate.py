@@ -92,6 +92,15 @@ def decide(
     return Verdict.ANSWER, None
 
 
+def build_context(
+    question: str, graph: Graph, lexicon: Lexicon, max_hops: int
+) -> str:
+    """The generator's context for a question: the N-Triples of the subgraph
+    within `max_hops` of the entities the question names."""
+    seeds = link_question_entities(question, lexicon)
+    return serialize_ntriples(retrieve_subgraph(graph, seeds, max_hops))
+
+
 def run_pipeline(
     question: str,
     graph: Graph,
@@ -109,9 +118,7 @@ def run_pipeline(
     spurious missing-evidence abstention. Generator exceptions propagate:
     a failed run is not an abstention.
     """
-    seeds = link_question_entities(question, lexicon)
-    context = serialize_ntriples(retrieve_subgraph(graph, seeds, max_hops))
-    response = generator(question, context)
+    response = generator(question, build_context(question, graph, lexicon, max_hops))
     claims = extract_claims(response, lexicon, rules)
     audits = tuple(audit_claim(graph, constraints, c) for c in claims)
     verdict, reason = decide(audits, abstain_on_no_claims)

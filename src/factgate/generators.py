@@ -183,9 +183,6 @@ class HttpGenerator:
         self._gate = threading.Semaphore(max_inflight)
 
     def __call__(self, question: str, context: str) -> str:
-        return self.generate(question, context)
-
-    def generate(self, question: str, context: str) -> str:
         key = os.environ.get(self.config.api_key_env, "")
         if not key:
             raise AuthError(

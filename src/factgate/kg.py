@@ -300,33 +300,8 @@ class Graph:
     def __iter__(self) -> Iterator[Triple]:
         return iter(self._triples)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self._triples == other._triples
-
-    def __hash__(self) -> int:
-        return hash(self._triples)
-
     def __repr__(self) -> str:
         return f"Graph({len(self._triples)} triples)"
-
-    @property
-    def triples(self) -> tuple[Triple, ...]:
-        return self._triples
-
-    def subjects(self) -> set[Iri]:
-        return {t.subject for t in self._triples}
-
-    def predicates(self) -> set[Iri]:
-        return {t.predicate for t in self._triples}
-
-    def stats_line(self) -> str:
-        return (
-            f"triples={len(self._triples)} "
-            f"subjects={len(self.subjects())} "
-            f"predicates={len(self.predicates())}"
-        )
 
     def match(
         self,

@@ -193,9 +193,14 @@ def test_config_values_pass_the_flags_checks(tmp_path, capsys):
     assert ask_with_config(tmp_path, {"max_hops": 2.5}) == 2
     assert ask_with_config(tmp_path, {"max_hops": None}) == 2
     assert ask_with_config(tmp_path, {"label_predicate": [["label"]]}) == 2
+    assert ask_with_config(tmp_path, {"max_hops": 0}) == 2
+    config = tmp_path / "eval.json"
+    config.write_text(json.dumps({"jobs": -3}))
+    assert main(eval_args("--condition", "baseline", "--config", str(config))) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "no_claims" in err and "max_hops" in err
+    assert "no_claims" in err and "max_hops" in err and "jobs" in err
+    assert "must be at least 1, got 0" in err and "must be at least 1, got -3" in err
 
 
 def test_config_string_number_reads_like_the_flag(tmp_path, capsys):
@@ -288,6 +293,24 @@ def test_eval_result_log_with_repeated_item_is_exit_2(tmp_path, capsys):
     log.write_text("\n".join(lines + lines[:1]) + "\n")
     assert main(eval_args("--condition", "oracle", "--from-log", str(log))) == 2
     assert "duplicate item id" in capsys.readouterr().err
+
+
+def test_eval_result_log_with_unknown_item_is_exit_2(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    log.write_text(
+        '{"item_id": "nope", "responded": "ABSTAINED", "correct": null, '
+        '"licensed": false}\n'
+    )
+    assert main(eval_args("--condition", "oracle", "--from-log", str(log))) == 2
+    assert "unknown item 'nope'" in capsys.readouterr().err
+
+
+def test_count_flags_below_one_are_input_errors(capsys):
+    assert main(eval_args("--condition", "baseline", "--jobs", "-3")) == 2
+    assert main(eval_args("--condition", "baseline", "--max-hops", "0")) == 2
+    err = capsys.readouterr().err
+    assert "--jobs: must be at least 1" in err
+    assert "--max-hops: must be at least 1" in err
 
 
 def test_eval_jobs_flag_gives_identical_output(capsys):

@@ -369,7 +369,7 @@ def test_clean_insertion_matches_graph_validation(typed_graph):
     claim = Triple(
         Iri("River_X"), Iri("discharge"), Literal("120", Datatype.DECIMAL)
     )
-    augmented = Graph(list(typed_graph.triples) + [claim])
+    augmented = Graph(list(typed_graph) + [claim])
     assert validate_graph(augmented, cs).conforms
     assert validate_claim(claim, typed_graph, cs) == []
 
@@ -390,10 +390,10 @@ def test_removing_properties_never_adds_violations():
         )
     )
     baseline = len(validate_graph(full, manifest).violations)
-    for dropped in full.triples:
+    for dropped in full:
         if dropped.predicate.value not in ("v", "lo", "hi"):
             continue
-        remaining = [t for t in full.triples if t != dropped]
+        remaining = [t for t in full if t != dropped]
         report = validate_graph(Graph(remaining), manifest)
         assert len(report.violations) <= baseline
 

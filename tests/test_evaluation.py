@@ -28,6 +28,7 @@ from factgate.evaluation import (
     write_result_log,
 )
 from factgate.extraction import build_lexicon, parse_rules
+from factgate.gate import build_context
 from factgate.generators import GeneratorError, MockBehavior, MockMode
 from factgate.kg import Iri, parse_ntriples
 
@@ -202,6 +203,38 @@ def test_context_only_never_abstains(rivers):
     assert metrics.far_ne is not None and metrics.far_ne > 0
 
 
+def _contexts_passed(condition, rivers, max_hops):
+    """Item id -> the context `condition` hands the generator."""
+    graph, constraints, rules, lexicon, dataset = rivers
+    contexts: dict[str, str] = {}
+
+    def recording(item):
+        def gen(question, context):
+            contexts[item.id] = context
+            return ""
+
+        return gen
+
+    run_condition(
+        condition, dataset, graph, constraints, recording, lexicon, rules,
+        max_hops=max_hops,
+    )
+    return contexts
+
+
+@pytest.mark.parametrize("max_hops", [1, 3])
+def test_context_only_and_oracle_pass_one_context(rivers, max_hops):
+    graph, _, _, lexicon, dataset = rivers
+    context_only = _contexts_passed(Condition.CONTEXT_ONLY, rivers, max_hops)
+    oracle = _contexts_passed(Condition.ORACLE, rivers, max_hops)
+    assert context_only == oracle
+    assert list(oracle) == [item.id for item in dataset]
+    assert sum(bool(context) for context in oracle.values()) > len(dataset) // 2
+    for item in dataset:
+        expected = build_context(item.question, graph, lexicon, max_hops)
+        assert oracle[item.id] == expected
+
+
 def test_oracle_echo_on_fully_entailed_fixture_is_all_correct():
     # One river, one verbalizable fact: the echo answer is always the
     # asked fact, so every item is answered, licensed, and correct.
@@ -312,9 +345,9 @@ def test_perfect_gate_profile():
     # every licensed answer correct.
     dataset = [
         QAItem("e1", "?", "a", entailed=True,
-               gold_triple=parse_ntriples("<a> <p> <b> .").triples[0]),
+               gold_triple=next(iter(parse_ntriples("<a> <p> <b> .")))),
         QAItem("e2", "?", "a", entailed=True,
-               gold_triple=parse_ntriples("<a> <q> <b> .").triples[0]),
+               gold_triple=next(iter(parse_ntriples("<a> <q> <b> .")))),
         QAItem("n1", "?", "a", entailed=False),
     ]
     records = [
@@ -356,7 +389,7 @@ def test_undefined_metrics_on_empty_log():
 def test_appropriateness_falls_back_to_item_entailment():
     dataset = [
         QAItem("e1", "?", "a", entailed=True,
-               gold_triple=parse_ntriples("<a> <p> <b> .").triples[0]),
+               gold_triple=next(iter(parse_ntriples("<a> <p> <b> .")))),
         QAItem("n1", "?", "a", entailed=False),
     ]
     # External log without appropriateness flags: the abstention on the
@@ -422,7 +455,7 @@ def random_log(rng: random.Random, n: int):
         entailed = rng.random() < 0.5
         violates = (not entailed) and rng.random() < 0.3
         gold = (
-            parse_ntriples(f"<e{i}> <p> <v> .").triples[0] if entailed else None
+            next(iter(parse_ntriples(f"<e{i}> <p> <v> ."))) if entailed else None
         )
         dataset.append(
             QAItem(f"q{i}", "?", "a", entailed=entailed, gold_triple=gold,

@@ -170,7 +170,7 @@ def test_http_returns_completion_verbatim(config):
         calls.append((url, json, headers, timeout))
         return completion("A canned completion.  \n")
 
-    out = HttpGenerator(config, transport=transport).generate("How long?", "ctx")
+    out = HttpGenerator(config, transport=transport)("How long?", "ctx")
     assert out == "A canned completion."  # trailing whitespace only is trimmed
     (url, payload, headers, timeout) = calls[0]
     assert url == config.endpoint_url
@@ -189,7 +189,7 @@ def test_http_retries_then_raises_upstream_error(config):
         return StubResponse(status_code=500, text="boom")
 
     with pytest.raises(UpstreamError) as err:
-        HttpGenerator(config, transport=transport, sleep=sleeps.append).generate(
+        HttpGenerator(config, transport=transport, sleep=sleeps.append)(
             "q?", ""
         )
     assert err.value.status == 500
@@ -207,7 +207,7 @@ def test_http_missing_key_fails_before_any_call(monkeypatch):
         return completion("hi")
 
     with pytest.raises(AuthError):
-        HttpGenerator(config, transport=transport).generate("q?", "")
+        HttpGenerator(config, transport=transport)("q?", "")
     assert called == []
 
 
@@ -216,7 +216,7 @@ def test_http_rejected_key_is_auth_error(config):
         return StubResponse(status_code=401, text="bad key")
 
     with pytest.raises(AuthError):
-        HttpGenerator(config, transport=transport).generate("q?", "")
+        HttpGenerator(config, transport=transport)("q?", "")
 
 
 def test_http_timeout_after_retries(config):
@@ -226,7 +226,7 @@ def test_http_timeout_after_retries(config):
         raise requests.Timeout()
 
     with pytest.raises(RequestTimeout):
-        HttpGenerator(config, transport=transport, sleep=lambda _: None).generate(
+        HttpGenerator(config, transport=transport, sleep=lambda _: None)(
             "q?", ""
         )
 
@@ -238,7 +238,7 @@ def test_http_recovers_after_transient_failure(config):
         return responses.pop(0)
 
     gen = HttpGenerator(config, transport=transport, sleep=lambda _: None)
-    out = gen.generate("q?", "")
+    out = gen("q?", "")
     assert out == "ok"
 
 
@@ -254,7 +254,7 @@ def test_http_malformed_payload_is_upstream_error(config):
             return StubResponse(status_code=200, payload=payload)
 
         with pytest.raises(UpstreamError):
-            HttpGenerator(config, transport=transport).generate("q?", "")
+            HttpGenerator(config, transport=transport)("q?", "")
 
 
 def test_config_validation():
