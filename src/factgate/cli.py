@@ -19,16 +19,14 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
-from .constraints import ConstraintSet, ManifestError, parse_manifest, validate_graph
+from .constraints import ConstraintSet, parse_manifest, validate_graph
 from .evaluation import (
     Condition,
-    DatasetError,
     DuplicateId,
     UnknownItem,
     compute_metrics,
-    constant_factory,
     load_dataset,
     mock_factory,
     read_result_log,
@@ -36,7 +34,7 @@ from .evaluation import (
     run_condition,
     write_result_log,
 )
-from .extraction import Lexicon, PredicateRule, RuleError, build_lexicon, parse_rules
+from .extraction import Lexicon, PredicateRule, build_lexicon, parse_rules
 from .gate import Verdict, decision_to_json, run_pipeline
 from .generators import (
     GeneratorConfig,
@@ -47,6 +45,8 @@ from .generators import (
     mock_generator,
 )
 from .kg import Graph, Iri, ParseError, parse_ntriples
+
+T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_NONCONFORMING = 1
@@ -75,34 +75,24 @@ def _read_text(path: str, what: str) -> str:
         raise CliError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
-def _load_graph(path: str) -> Graph:
+def _load(parse: Callable[[str], T], path: str, what: str, label: str) -> T:
+    """`parse` over the text of the `what` file at `path`; a malformed line
+    is an input error prefixed with `label`."""
     try:
-        return parse_ntriples(_read_text(path, "graph"))
+        return parse(_read_text(path, what))
     except ParseError as exc:
-        raise CliError(f"graph {path!r}: {exc}") from exc
-
-
-def _load_constraints(path: str) -> ConstraintSet:
-    try:
-        return parse_manifest(_read_text(path, "constraint manifest"))
-    except ManifestError as exc:
-        raise CliError(f"constraints {path!r}: {exc}") from exc
-
-
-def _load_rules(path: str) -> list[PredicateRule]:
-    try:
-        return parse_rules(_read_text(path, "rule file"))
-    except RuleError as exc:
-        raise CliError(f"rules {path!r}: {exc}") from exc
+        raise CliError(f"{label} {path!r}: {exc}") from exc
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    graph = _load_graph(args.graph)
+    graph = _load(parse_ntriples, args.graph, "graph", "graph")
     lexicon = build_lexicon(graph, [Iri(p) for p in args.label_predicate])
     return RunConfig(
         graph=graph,
-        constraints=_load_constraints(args.constraints),
-        rules=_load_rules(args.rules),
+        constraints=_load(
+            parse_manifest, args.constraints, "constraint manifest", "constraints"
+        ),
+        rules=_load(parse_rules, args.rules, "rule file", "rules"),
         lexicon=lexicon,
         abstain_on_no_claims=(args.no_claims == "abstain"),
     )
@@ -134,8 +124,10 @@ def _http_generator(args: argparse.Namespace) -> HttpGenerator:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
-    constraints = _load_constraints(args.constraints)
+    graph = _load(parse_ntriples, args.graph, "graph", "graph")
+    constraints = _load(
+        parse_manifest, args.constraints, "constraint manifest", "constraints"
+    )
     report = validate_graph(graph, constraints)
     print(
         f"triples={len(graph)} subjects={len({t.subject for t in graph})} "
@@ -183,17 +175,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
         dataset = load_dataset(args.dataset)
     except OSError as exc:
         raise CliError(f"cannot read dataset {args.dataset!r}: {exc}") from exc
-    except (DatasetError, DuplicateId) as exc:
+    except (ParseError, DuplicateId) as exc:
         raise CliError(f"dataset {args.dataset!r}: {exc}") from exc
     condition = Condition(args.condition.upper())
     if args.from_log:
         try:
             records = read_result_log(args.from_log)
-        except (OSError, DatasetError, DuplicateId) as exc:
+        except (OSError, ParseError, DuplicateId) as exc:
             raise CliError(f"result log {args.from_log!r}: {exc}") from exc
     else:
         if args.generator == "http":
-            factory = constant_factory(_http_generator(args))
+            http = _http_generator(args)
+            factory = lambda item: http
         else:
             factory = mock_factory(_mock_behavior(args), rules=config.rules)
         records = run_condition(
@@ -208,12 +201,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             abstain_on_no_claims=config.abstain_on_no_claims,
         )
-    if args.output:
-        write_result_log(records, args.output)
     try:
         metrics = compute_metrics(dataset, records)
     except UnknownItem as exc:
         raise CliError(f"result log {args.from_log!r}: {exc}") from exc
+    # A log that skips items would be scored on the rest alone.
+    if len(records) < len(dataset):
+        logged = {record.item_id for record in records}
+        missing = next(item.id for item in dataset if item.id not in logged)
+        raise CliError(
+            f"result log {args.from_log!r}: covers {len(records)} of "
+            f"{len(dataset)} dataset items; first missing {missing!r}"
+        )
+    if args.output:
+        write_result_log(records, args.output)
     print(render_report([(condition.value, metrics)]), end="")
     return EXIT_OK
 

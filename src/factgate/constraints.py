@@ -15,32 +15,27 @@ skipped, except under ConditionalRequirement which demands presence.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from functools import cache, partial
-from typing import Callable, Sequence
+from typing import Callable
 
 from .kg import (
     RDF_TYPE,
     Graph,
     Iri,
     Literal,
+    ParseError,
     Term,
     Triple,
+    content_lines,
     decimal_lexical,
-    parse_decimal,
+    parse_kv,
+    take_decimal,
+    take_iri,
     term_matches,
     triple_sort_key,
 )
-
-
-class ManifestError(Exception):
-    """Raised on a malformed constraint manifest line."""
-
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -353,100 +348,43 @@ class ConstraintSet:
         return len(self.constraints)
 
 
-def _parse_kv(tokens: Sequence[str], line: int) -> dict[str, str]:
-    kv: dict[str, str] = {}
-    for token in tokens:
-        key, eq, value = token.partition("=")
-        if not eq or not key or not value:
-            raise ManifestError(line, f"expected key=value, got {token!r}")
-        if key in kv:
-            raise ManifestError(line, f"duplicate key {key!r}")
-        kv[key] = value
-    return kv
-
-
-def _take_iri(kv: dict[str, str], key: str, line: int) -> Iri:
-    try:
-        raw = kv.pop(key)
-    except KeyError:
-        raise ManifestError(line, f"missing parameter {key!r}") from None
-    if not (raw.startswith("<") and raw.endswith(">")):
-        raise ManifestError(line, f"{key} must be an angle-bracketed IRI: {raw!r}")
-    try:
-        return Iri(raw[1:-1])
-    except ValueError as exc:
-        raise ManifestError(line, str(exc)) from exc
-
-
-def _take_decimal(kv: dict[str, str], key: str, line: int) -> Decimal:
-    try:
-        raw = kv.pop(key)
-    except KeyError:
-        raise ManifestError(line, f"missing parameter {key!r}") from None
-    try:
-        return parse_decimal(raw)
-    except ValueError as exc:
-        raise ManifestError(line, str(exc)) from exc
+# Each manifest kind's class. A line's parameters are the class's fields
+# after `id` (and `kind`), read in field order, with `target_class` spelled
+# `class`: a `Decimal` field takes a plain decimal, any other an IRI.
+_KINDS = {
+    "class_of_object": ClassOfObject,
+    **dict.fromkeys(_BOUNDS, NumericBound),
+    "less_than_property": LessThanProperty,
+    "conditional_requirement": ConditionalRequirement,
+    "interval_overlap": IntervalOverlap,
+}
 
 
 def parse_manifest(text: str) -> ConstraintSet:
     """Parse a constraint manifest: one `<id> <kind> key=value ...` per line."""
     constraints: list[Constraint] = []
     seen_ids: set[str] = set()
-    for number, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in content_lines(text):
         tokens = line.split()
         if len(tokens) < 2:
-            raise ManifestError(number, "expected `<id> <kind> key=value ...`")
+            raise ParseError(number, "expected `<id> <kind> key=value ...`")
         cid, kind = tokens[0], tokens[1]
         if cid in seen_ids:
-            raise ManifestError(number, f"duplicate constraint id {cid!r}")
+            raise ParseError(number, f"duplicate constraint id {cid!r}")
         seen_ids.add(cid)
-        kv = _parse_kv(tokens[2:], number)
-        constraint: Constraint
-        if kind == "class_of_object":
-            constraint = ClassOfObject(
-                cid,
-                predicate=_take_iri(kv, "predicate", number),
-                target_class=_take_iri(kv, "class", number),
-            )
-        elif kind in _BOUNDS:
-            constraint = NumericBound(
-                cid,
-                kind,
-                target_class=_take_iri(kv, "class", number),
-                property=_take_iri(kv, "property", number),
-                bound=_take_decimal(kv, "bound", number),
-            )
-        elif kind == "less_than_property":
-            constraint = LessThanProperty(
-                cid,
-                target_class=_take_iri(kv, "class", number),
-                lesser=_take_iri(kv, "lesser", number),
-                greater=_take_iri(kv, "greater", number),
-            )
-        elif kind == "conditional_requirement":
-            constraint = ConditionalRequirement(
-                cid,
-                predicate=_take_iri(kv, "predicate", number),
-                object_class=_take_iri(kv, "object_class", number),
-                required_predicate=_take_iri(kv, "required_predicate", number),
-                required_object=_take_iri(kv, "required_object", number),
-            )
-        elif kind == "interval_overlap":
-            constraint = IntervalOverlap(
-                cid,
-                predicate=_take_iri(kv, "predicate", number),
-                start=_take_iri(kv, "start", number),
-                end=_take_iri(kv, "end", number),
-            )
-        else:
-            raise ManifestError(number, f"unknown constraint kind {kind!r}")
+        kv = parse_kv(tokens[2:], number)
+        cls = _KINDS.get(kind)
+        if cls is None:
+            raise ParseError(number, f"unknown constraint kind {kind!r}")
+        params: dict[str, object] = {"id": cid, "kind": kind}
+        for f in fields(cls):
+            if f.name not in params:
+                take = take_decimal if f.type == "Decimal" else take_iri
+                key = "class" if f.name == "target_class" else f.name
+                params[f.name] = take(kv, key, number)
         if kv:
-            raise ManifestError(number, f"unexpected parameters: {sorted(kv)}")
-        constraints.append(constraint)
+            raise ParseError(number, f"unexpected parameters: {sorted(kv)}")
+        constraints.append(cls(*(params[f.name] for f in fields(cls))))
     return ConstraintSet(tuple(constraints))
 
 

@@ -32,16 +32,9 @@ from .constraints import ConstraintSet
 from .extraction import NUMBER_TOKEN_RE, Lexicon, PredicateRule
 from .gate import AbstainReason, Verdict, build_context, run_pipeline
 from .generators import GeneratorError, GeneratorFn, MockBehavior, mock_generator
-from .kg import Graph, Triple, parse_ntriples_line
+from .kg import Graph, ParseError, Triple, parse_ntriples_line
 
 T = TypeVar("T")
-
-
-class DatasetError(Exception):
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
 
 
 class DuplicateId(Exception):
@@ -134,7 +127,7 @@ def _flag(payload: dict, key: str, line: int) -> bool:
     """A true/false field, false when absent; anything else fails closed."""
     value = payload.get(key, False)
     if not isinstance(value, bool):
-        raise DatasetError(line, f"{key!r} must be true or false, got {value!r}")
+        raise ParseError(line, f"{key!r} must be true or false, got {value!r}")
     return value
 
 
@@ -142,7 +135,7 @@ def _optional_flag(payload: dict, key: str, line: int) -> bool | None:
     """A true/false/null field, null when absent."""
     value = payload.get(key)
     if value is not None and not isinstance(value, bool):
-        raise DatasetError(
+        raise ParseError(
             line, f"{key!r} must be true, false or null, got {value!r}"
         )
     return value
@@ -150,16 +143,16 @@ def _optional_flag(payload: dict, key: str, line: int) -> bool | None:
 
 def _parse_item(payload: dict, line: int) -> QAItem:
     if not isinstance(payload, dict):
-        raise DatasetError(line, "expected a JSON object")
+        raise ParseError(line, "expected a JSON object")
     for key in ("id", "question", "gold_answer", "entailed"):
         if key not in payload:
-            raise DatasetError(line, f"missing field {key!r}")
+            raise ParseError(line, f"missing field {key!r}")
     gold_triple = None
     if payload.get("gold_triple") is not None:
         try:
             gold_triple = parse_ntriples_line(payload["gold_triple"])
         except ValueError as exc:
-            raise DatasetError(line, f"bad gold_triple: {exc}") from exc
+            raise ParseError(line, f"bad gold_triple: {exc}") from exc
     try:
         return QAItem(
             id=str(payload["id"]),
@@ -170,7 +163,7 @@ def _parse_item(payload: dict, line: int) -> QAItem:
             violates_constraints=_flag(payload, "violates_constraints", line),
         )
     except ValueError as exc:
-        raise DatasetError(line, str(exc)) from exc
+        raise ParseError(line, str(exc)) from exc
 
 
 def _read_jsonl(
@@ -188,7 +181,7 @@ def _read_jsonl(
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DatasetError(number, f"bad JSON: {exc}") from exc
+            raise ParseError(number, f"bad JSON: {exc}") from exc
         value = parse(payload, number)
         if (value_key := key(value)) in seen:
             raise DuplicateId(value_key)
@@ -216,7 +209,7 @@ def record_to_dict(record: ResultRecord) -> dict:
 
 def record_from_dict(payload: dict, line: int = 0) -> ResultRecord:
     if not isinstance(payload, dict):
-        raise DatasetError(line, "expected a JSON object")
+        raise ParseError(line, "expected a JSON object")
     try:
         return ResultRecord(
             item_id=str(payload["item_id"]),
@@ -230,7 +223,7 @@ def record_from_dict(payload: dict, line: int = 0) -> ResultRecord:
             failed=_flag(payload, "failed", line),
         )
     except (KeyError, ValueError) as exc:
-        raise DatasetError(line, f"bad result record: {exc}") from exc
+        raise ParseError(line, f"bad result record: {exc}") from exc
 
 
 def write_result_log(records: Iterable[ResultRecord], path: str | Path) -> None:
@@ -278,11 +271,6 @@ def mock_factory(
         return mock_generator(behavior, answer_key=item.gold_answer, rules=rules)
 
     return for_item
-
-
-def constant_factory(fn: GeneratorFn) -> GeneratorFactory:
-    """Use the same generator (e.g. an HTTP client) for every item."""
-    return lambda item: fn
 
 
 def run_condition(

@@ -24,9 +24,15 @@ from .kg import (
     Graph,
     Iri,
     Literal,
+    ParseError,
     Triple,
+    content_lines,
     decimal_lexical,
     parse_decimal,
+    parse_kv,
+    take_decimal,
+    take_iri,
+    take_param,
 )
 
 # A plain decimal number token in free text (no exponent, no trailing dot).
@@ -35,15 +41,6 @@ _NUMBER_RUN_RE = re.compile(r"[+-]?[\d.]*")
 _SLOT_RE = re.compile(r"\b(SUBJ|OBJ)\b")
 _WORD_BOUNDARY_L = r"(?<![0-9A-Za-z_])"
 _WORD_BOUNDARY_R = r"(?![0-9A-Za-z_])"
-
-
-class RuleError(Exception):
-    """Raised on a malformed predicate-rule line."""
-
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
-        self.line = line
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -352,44 +349,29 @@ def parse_rules(text: str) -> list[PredicateRule]:
     """Parse a predicate-rule file.
 
     One rule per line: `<rule_id> "<pattern>" predicate=<iri>
-    kind=numeric|entity scale=<decimal>`; `#` starts a comment.
+    kind=numeric|entity scale=<decimal>`, each key at most once, in the
+    manifest's `key=value` syntax; `#` starts a comment.
     """
     rules: list[PredicateRule] = []
     seen: set[str] = set()
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in content_lines(text):
         m = _RULE_LINE_RE.match(line)
         if m is None:
-            raise RuleError(number, 'expected `<id> "<pattern>" key=value ...`')
+            raise ParseError(number, 'expected `<id> "<pattern>" key=value ...`')
         rule_id, pattern, rest = m.groups()
         if rule_id in seen:
-            raise RuleError(number, f"duplicate rule id {rule_id!r}")
+            raise ParseError(number, f"duplicate rule id {rule_id!r}")
         seen.add(rule_id)
-        kv: dict[str, str] = {}
-        for token in rest.split():
-            key, eq, value = token.partition("=")
-            if not eq or not value:
-                raise RuleError(number, f"expected key=value, got {token!r}")
-            kv[key] = value
-        predicate_raw = kv.pop("predicate", None)
-        kind = kv.pop("kind", None)
-        scale_raw = kv.pop("scale", None)
+        kv = parse_kv(rest.split(), number)
+        predicate = take_iri(kv, "predicate", number)
+        kind = take_param(kv, "kind", number)
+        scale = take_decimal(kv, "scale", number) if "scale" in kv else None
         if kv:
-            raise RuleError(number, f"unexpected keys: {sorted(kv)}")
-        if predicate_raw is None or kind is None:
-            raise RuleError(number, "predicate= and kind= are required")
-        if not (predicate_raw.startswith("<") and predicate_raw.endswith(">")):
-            raise RuleError(number, f"predicate must be <iri>: {predicate_raw!r}")
+            raise ParseError(number, f"unexpected parameters: {sorted(kv)}")
         try:
-            scale = parse_decimal(scale_raw) if scale_raw is not None else None
-            rule = PredicateRule(
-                rule_id, pattern, Iri(predicate_raw[1:-1]), kind, scale
-            )
+            rules.append(PredicateRule(rule_id, pattern, predicate, kind, scale))
         except ValueError as exc:
-            raise RuleError(number, str(exc)) from exc
-        rules.append(rule)
+            raise ParseError(number, str(exc)) from exc
     return rules
 
 

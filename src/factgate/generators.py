@@ -120,45 +120,36 @@ def _echo_context(context: str, rules: Sequence[PredicateRule]) -> str:
     return NO_CLAIM_TEXT
 
 
-def generate_mock(
-    behavior: MockBehavior,
-    question: str,
-    context: str,
-    answer_key: str | None = None,
-    rules: Sequence[PredicateRule] = (),
-) -> str:
-    """Deterministic mock generation.
-
-    ECHO_CONTEXT verbalizes the first context line, in text order, that
-    any rule can render; lines after it are not parsed, and a malformed
-    line before it raises ParseError.
-    FIXED_ANSWER returns the answer key verbatim. NOISY draws from a stream
-    keyed by (seed, question): the answer key with p_correct, a corrupted
-    number variant with p_hallucinate, otherwise "I don't know".
-    """
-    if behavior.mode is MockMode.ECHO_CONTEXT:
-        return _echo_context(context, rules)
-    if answer_key is None:
-        raise MissingAnswerKey(f"{behavior.mode.value} mock requires an answer key")
-    if behavior.mode is MockMode.FIXED_ANSWER:
-        return answer_key
-    draw = random.Random(f"{behavior.seed}\x00{question}").random()
-    if draw < behavior.p_correct:
-        return answer_key
-    if draw < behavior.p_correct + behavior.p_hallucinate:
-        return corrupt_number(answer_key)
-    return "I don't know"
-
-
 def mock_generator(
     behavior: MockBehavior,
     answer_key: str | None = None,
     rules: Sequence[PredicateRule] = (),
 ) -> GeneratorFn:
-    """Bind a MockBehavior into the pipeline's generator signature."""
+    """Bind a MockBehavior into the pipeline's generator signature.
+
+    Generation is deterministic. ECHO_CONTEXT verbalizes the first context
+    line, in text order, that any rule can render; lines after it are not
+    parsed, and a malformed line before it raises ParseError.
+    FIXED_ANSWER returns the answer key verbatim. NOISY draws from a stream
+    keyed by (seed, question): the answer key with p_correct, a corrupted
+    number variant with p_hallucinate, otherwise "I don't know".
+    """
 
     def generate(question: str, context: str) -> str:
-        return generate_mock(behavior, question, context, answer_key, rules)
+        if behavior.mode is MockMode.ECHO_CONTEXT:
+            return _echo_context(context, rules)
+        if answer_key is None:
+            raise MissingAnswerKey(
+                f"{behavior.mode.value} mock requires an answer key"
+            )
+        if behavior.mode is MockMode.FIXED_ANSWER:
+            return answer_key
+        draw = random.Random(f"{behavior.seed}\x00{question}").random()
+        if draw < behavior.p_correct:
+            return answer_key
+        if draw < behavior.p_correct + behavior.p_hallucinate:
+            return corrupt_number(answer_key)
+        return "I don't know"
 
     return generate
 

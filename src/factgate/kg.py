@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -32,11 +32,13 @@ _WHITESPACE_RE = re.compile(r"[ \t\r\n]")
 
 
 class ParseError(Exception):
-    """Raised on the first malformed N-Triples line; parsing is all-or-nothing."""
+    """Raised on the first malformed line of an input file: a graph,
+    constraint manifest, rule file, dataset or result log. Parsing is
+    all-or-nothing."""
 
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
-        self.line_number = line_number
+    def __init__(self, line: int, reason: str):
+        super().__init__(f"line {line}: {reason}")
+        self.line = line
         self.reason = reason
 
 
@@ -189,6 +191,16 @@ class _IriTable(dict):
         return iri
 
 
+def content_lines(source: str | IO[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of a line-oriented input
+    that is neither blank nor a `#` comment."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    for number, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield number, stripped
+
+
 def iter_ntriples(source: str | IO[str]) -> Iterator[Triple]:
     """Yield the triples of N-Triples text in text order, lazily.
 
@@ -197,13 +209,9 @@ def iter_ntriples(source: str | IO[str]) -> Iterator[Triple]:
     occurrence of one IRI string in the text yields the same `Iri` object.
     """
     iri = _IriTable().__getitem__
-    lines = source.splitlines() if isinstance(source, str) else source
-    for number, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for number, line in content_lines(source):
         try:
-            triple = _parse_line(stripped, iri)
+            triple = _parse_line(line, iri)
         except ValueError as exc:
             raise ParseError(number, str(exc)) from exc
         yield triple
@@ -394,3 +402,44 @@ def parse_decimal(text: str) -> Decimal:
 def decimal_lexical(value: Decimal) -> str:
     """Fixed-point lexical form of a decimal (never exponent notation)."""
     return format(value, "f")
+
+
+# --- key=value parameters of manifest and rule lines --------------------
+
+
+def parse_kv(tokens: Sequence[str], line: int) -> dict[str, str]:
+    """The `key=value` tokens of one line; each key may appear once."""
+    kv: dict[str, str] = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq or not key or not value:
+            raise ParseError(line, f"expected key=value, got {token!r}")
+        if key in kv:
+            raise ParseError(line, f"duplicate key {key!r}")
+        kv[key] = value
+    return kv
+
+
+def take_param(kv: dict[str, str], key: str, line: int) -> str:
+    """Remove a required parameter from `kv` and return its raw value."""
+    try:
+        return kv.pop(key)
+    except KeyError:
+        raise ParseError(line, f"missing parameter {key!r}") from None
+
+
+def take_iri(kv: dict[str, str], key: str, line: int) -> Iri:
+    raw = take_param(kv, key, line)
+    if not (raw.startswith("<") and raw.endswith(">")):
+        raise ParseError(line, f"{key} must be an angle-bracketed IRI: {raw!r}")
+    try:
+        return Iri(raw[1:-1])
+    except ValueError as exc:
+        raise ParseError(line, str(exc)) from exc
+
+
+def take_decimal(kv: dict[str, str], key: str, line: int) -> Decimal:
+    try:
+        return parse_decimal(take_param(kv, key, line))
+    except ValueError as exc:
+        raise ParseError(line, str(exc)) from exc

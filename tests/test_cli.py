@@ -80,6 +80,20 @@ def test_unparseable_graph_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_rule_file_with_repeated_key_is_exit_2(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(
+        'R_length "SUBJ is OBJ km long" predicate=<length> predicate=<discharge> '
+        "kind=numeric scale=1000\n"
+    )
+    code = main(
+        ["ask"] + rivers_args()
+        + ["--rules", str(rules), "--max-hops", "1", "How long is the Colorado River?"]
+    )
+    assert code == 2
+    assert "line 1: duplicate key 'predicate'" in capsys.readouterr().err
+
+
 # --- ask --------------------------------------------------------------------
 
 
@@ -303,6 +317,21 @@ def test_eval_result_log_with_unknown_item_is_exit_2(tmp_path, capsys):
     )
     assert main(eval_args("--condition", "oracle", "--from-log", str(log))) == 2
     assert "unknown item 'nope'" in capsys.readouterr().err
+
+
+def test_eval_truncated_result_log_is_exit_2(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    assert main(eval_args("--condition", "baseline", "--output", str(log))) == 0
+    capsys.readouterr()
+    log.write_text("\n".join(log.read_text().splitlines()[:5]) + "\n")
+    copy = tmp_path / "copy.jsonl"
+    assert main(eval_args(
+        "--condition", "baseline", "--from-log", str(log), "--output", str(copy)
+    )) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "covers 5 of 24 dataset items; first missing 'rq06'" in captured.err
+    assert not copy.exists()
 
 
 def test_count_flags_below_one_are_input_errors(capsys):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factgate.constraints import (
-    ManifestError,
     parse_manifest,
     validate_claim,
     validate_graph,
@@ -17,6 +16,7 @@ from factgate.kg import (
     Graph,
     Iri,
     Literal,
+    ParseError,
     Triple,
     parse_ntriples,
 )
@@ -70,7 +70,7 @@ def test_empty_manifest_validates_everything():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(ParseError) as err:
         parse_manifest("X1 frobnicate class=<River>")
     assert err.value.line == 1
 
@@ -86,8 +86,38 @@ def test_unknown_kind_rejected():
     ],
 )
 def test_malformed_manifest_lines(line):
-    with pytest.raises(ManifestError):
+    with pytest.raises(ParseError):
         parse_manifest(line)
+
+
+# Every key each manifest kind requires, in the order the parser reads them.
+KIND_PARAMS = {
+    "class_of_object": "predicate=<p> class=<C>",
+    "min_exclusive": "class=<C> property=<p> bound=0",
+    "min_inclusive": "class=<C> property=<p> bound=0",
+    "max_inclusive": "class=<C> property=<p> bound=0",
+    "less_than_property": "class=<C> lesser=<a> greater=<b>",
+    "conditional_requirement": (
+        "predicate=<p> object_class=<S> required_predicate=<q> required_object=<o>"
+    ),
+    "interval_overlap": "predicate=<p> start=<s> end=<e>",
+}
+
+
+@pytest.mark.parametrize("kind", KIND_PARAMS)
+def test_each_kind_takes_exactly_its_parameters(kind):
+    params = KIND_PARAMS[kind].split()
+    (constraint,) = parse_manifest(f"X {kind} {' '.join(params)}")
+    assert constraint.id == "X"
+    for i, param in enumerate(params):
+        key = param.partition("=")[0]
+        rest = " ".join(params[:i] + params[i + 1 :])
+        with pytest.raises(ParseError) as err:
+            parse_manifest(f"X {kind} {rest}")
+        assert err.value.reason == f"missing parameter {key!r}"
+    with pytest.raises(ParseError) as err:
+        parse_manifest(f"X {kind} {' '.join(params)} extra=<x>")
+    assert err.value.reason == "unexpected parameters: ['extra']"
 
 
 def test_duplicate_constraint_id_rejected():
@@ -95,7 +125,7 @@ def test_duplicate_constraint_id_rejected():
         "C2 min_exclusive class=<River> property=<sourceElevation> bound=0\n"
         "C2 min_exclusive class=<River> property=<length> bound=0\n"
     )
-    with pytest.raises(ManifestError) as err:
+    with pytest.raises(ParseError) as err:
         parse_manifest(text)
     assert err.value.line == 2
 

@@ -9,7 +9,6 @@ import pytest
 from factgate.constraints import parse_manifest
 from factgate.evaluation import (
     Condition,
-    DatasetError,
     DuplicateId,
     EvalMetrics,
     MetricCounts,
@@ -19,7 +18,6 @@ from factgate.evaluation import (
     UnknownItem,
     answer_matches,
     compute_metrics,
-    constant_factory,
     load_dataset,
     mock_factory,
     read_result_log,
@@ -30,7 +28,7 @@ from factgate.evaluation import (
 from factgate.extraction import build_lexicon, parse_rules
 from factgate.gate import build_context
 from factgate.generators import GeneratorError, MockBehavior, MockMode
-from factgate.kg import Iri, parse_ntriples
+from factgate.kg import Iri, ParseError, parse_ntriples
 
 from conftest import FIXTURES
 
@@ -70,7 +68,7 @@ def test_load_dataset_minimal(tmp_path):
 def test_missing_question_is_dataset_error(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"id": "a", "gold_answer": "x", "entailed": false}\n')
-    with pytest.raises(DatasetError) as err:
+    with pytest.raises(ParseError) as err:
         load_dataset(path)
     assert err.value.line == 1
 
@@ -86,7 +84,7 @@ def test_duplicate_id_rejected(tmp_path):
 def test_entailed_item_requires_gold_triple(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"id": "a", "question": "q?", "gold_answer": "x", "entailed": true}\n')
-    with pytest.raises(DatasetError):
+    with pytest.raises(ParseError):
         load_dataset(path)
 
 
@@ -96,7 +94,7 @@ def test_violating_item_cannot_be_entailed(tmp_path):
         '{"id": "a", "question": "q?", "gold_answer": "x", "entailed": true, '
         '"violates_constraints": true, "gold_triple": "<a> <p> <b> ."}\n'
     )
-    with pytest.raises(DatasetError):
+    with pytest.raises(ParseError):
         load_dataset(path)
 
 
@@ -109,7 +107,7 @@ def test_dataset_flags_accept_only_json_booleans(tmp_path, field, value):
         '{"id": "z", "question": "q?", "gold_answer": "x", "entailed": false}\n'
         + json.dumps(row)[:-1] + f', "{field}": {value}}}\n'
     )
-    with pytest.raises(DatasetError) as err:
+    with pytest.raises(ParseError) as err:
         load_dataset(path)
     assert err.value.line == 2
     assert repr(field) in str(err.value)
@@ -118,11 +116,11 @@ def test_dataset_flags_accept_only_json_booleans(tmp_path, field, value):
 def test_non_object_lines_are_dataset_errors(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("5\n")
-    with pytest.raises(DatasetError) as err:
+    with pytest.raises(ParseError) as err:
         load_dataset(path)
     assert err.value.line == 1
     path.write_text('["a", "ANSWERED"]\n')
-    with pytest.raises(DatasetError) as err:
+    with pytest.raises(ParseError) as err:
         read_result_log(path)
     assert err.value.line == 1
 
@@ -525,7 +523,7 @@ def test_result_log_flags_accept_only_json_booleans(tmp_path, field, value):
     path.write_text(json.dumps(LOG_ROW) + "\n" + json.dumps(
         {**LOG_ROW, "item_id": "b", field: value}
     ) + "\n")
-    with pytest.raises(DatasetError) as err:
+    with pytest.raises(ParseError) as err:
         read_result_log(path)
     assert err.value.line == 2
     assert repr(field) in str(err.value)
@@ -544,7 +542,7 @@ def test_result_log_optional_flags_accept_boolean_or_null(
     path.write_text(json.dumps(row) + "\n")
     assert getattr(read_result_log(path)[0], field) is False
     path.write_text(json.dumps({**row, field: value}) + "\n")
-    with pytest.raises(DatasetError) as err:
+    with pytest.raises(ParseError) as err:
         read_result_log(path)
     assert err.value.line == 1
     assert repr(field) in str(err.value)

@@ -14,7 +14,6 @@ from factgate.extraction import (
     NUMBER_TOKEN_RE,
     Claim,
     PredicateRule,
-    RuleError,
     _fold,
     build_lexicon,
     extract_claims,
@@ -28,6 +27,7 @@ from factgate.kg import (
     Graph,
     Iri,
     Literal,
+    ParseError,
     Triple,
     decimal_lexical,
     parse_decimal,
@@ -288,7 +288,7 @@ def test_parse_rules_round_trip():
     ],
 )
 def test_rule_file_errors(line):
-    with pytest.raises(RuleError):
+    with pytest.raises(ParseError):
         parse_rules(line)
 
 
@@ -297,9 +297,20 @@ def test_duplicate_rule_id_rejected():
         'R "SUBJ at OBJ meters" predicate=<p> kind=numeric scale=1\n'
         'R "SUBJ near OBJ" predicate=<q> kind=entity\n'
     )
-    with pytest.raises(RuleError) as err:
+    with pytest.raises(ParseError) as err:
         parse_rules(text)
     assert err.value.line == 2
+
+
+def test_repeated_rule_key_rejected():
+    text = (
+        'R1 "SUBJ at OBJ meters" predicate=<p> kind=numeric scale=1\n'
+        'R2 "SUBJ near OBJ" predicate=<a> predicate=<b> kind=entity\n'
+    )
+    with pytest.raises(ParseError) as err:
+        parse_rules(text)
+    assert err.value.line == 2
+    assert err.value.reason == "duplicate key 'predicate'"
 
 
 # --- verbalization (rule inversion) ----------------------------------------------

@@ -16,7 +16,6 @@ from factgate.generators import (
     RequestTimeout,
     UpstreamError,
     corrupt_number,
-    generate_mock,
     mock_generator,
 )
 from factgate.kg import Iri, ParseError
@@ -37,18 +36,18 @@ CONTEXT = (
 
 def test_fixed_answer_passthrough():
     behavior = MockBehavior(MockMode.FIXED_ANSWER)
-    out = generate_mock(behavior, "q?", "", answer_key="The answer is 42.")
+    out = mock_generator(behavior, answer_key="The answer is 42.")("q?", "")
     assert out == "The answer is 42."
 
 
 def test_fixed_answer_requires_key():
     with pytest.raises(MissingAnswerKey):
-        generate_mock(MockBehavior(MockMode.FIXED_ANSWER), "q?", "")
+        mock_generator(MockBehavior(MockMode.FIXED_ANSWER))("q?", "")
 
 
 def test_echo_verbalizes_first_renderable_triple():
     behavior = MockBehavior(MockMode.ECHO_CONTEXT)
-    out = generate_mock(behavior, "q?", CONTEXT, rules=[LENGTH_RULE])
+    out = mock_generator(behavior, rules=[LENGTH_RULE])("q?", CONTEXT)
     assert out == "River Colorado is 2334 km long."
 
 
@@ -60,17 +59,17 @@ def test_echo_takes_first_renderable_line_in_text_order():
         '<River_Colorado> <length> "2334000.0" .\n'
         "<this line is never read\n"
     )
-    out = generate_mock(behavior, "q?", unsorted, rules=[LENGTH_RULE])
+    out = mock_generator(behavior, rules=[LENGTH_RULE])("q?", unsorted)
     assert out == "River Gila is 1044 km long."
     with pytest.raises(ParseError) as err:
-        generate_mock(behavior, "q?", "\n<broken\n" + unsorted, rules=[LENGTH_RULE])
-    assert err.value.line_number == 2
+        mock_generator(behavior, rules=[LENGTH_RULE])("q?", "\n<broken\n" + unsorted)
+    assert err.value.line == 2
 
 
 def test_echo_without_renderable_triple_falls_back():
     behavior = MockBehavior(MockMode.ECHO_CONTEXT)
-    assert generate_mock(behavior, "q?", "", rules=[LENGTH_RULE]) == NO_CLAIM_TEXT
-    assert generate_mock(behavior, "q?", CONTEXT, rules=[]) == NO_CLAIM_TEXT
+    assert mock_generator(behavior, rules=[LENGTH_RULE])("q?", "") == NO_CLAIM_TEXT
+    assert mock_generator(behavior, rules=[])("q?", CONTEXT) == NO_CLAIM_TEXT
 
 
 def test_noisy_degenerate_probabilities():
@@ -78,26 +77,26 @@ def test_noisy_degenerate_probabilities():
     always_wrong = MockBehavior(MockMode.NOISY, p_hallucinate=1.0, seed=3)
     key = "Colorado River is 2334 km long."
     for q in ("a?", "b?", "c?"):
-        assert generate_mock(always_right, q, "", answer_key=key) == key
+        assert mock_generator(always_right, answer_key=key)(q, "") == key
         assert (
-            generate_mock(always_wrong, q, "", answer_key=key)
+            mock_generator(always_wrong, answer_key=key)(q, "")
             == "Colorado River is 4668 km long."
         )
 
 
 def test_noisy_requires_answer_key():
     with pytest.raises(MissingAnswerKey):
-        generate_mock(MockBehavior(MockMode.NOISY, p_correct=1.0), "q?", "")
+        mock_generator(MockBehavior(MockMode.NOISY, p_correct=1.0))("q?", "")
 
 
 def test_noisy_replay_stability():
     behavior = MockBehavior(MockMode.NOISY, p_correct=0.4, p_hallucinate=0.4, seed=9)
     outs = [
-        generate_mock(behavior, f"question {i}?", "", answer_key=f"It is {i} km.")
+        mock_generator(behavior, answer_key=f"It is {i} km.")(f"question {i}?", "")
         for i in range(50)
     ]
     again = [
-        generate_mock(behavior, f"question {i}?", "", answer_key=f"It is {i} km.")
+        mock_generator(behavior, answer_key=f"It is {i} km.")(f"question {i}?", "")
         for i in range(50)
     ]
     assert outs == again
@@ -109,7 +108,7 @@ def test_noisy_correct_fraction_near_half():
     behavior = MockBehavior(MockMode.NOISY, p_correct=0.5, p_hallucinate=0.5, seed=7)
     key = "The value is 10 km."
     hits = sum(
-        generate_mock(behavior, f"q{i}?", "", answer_key=key) == key
+        mock_generator(behavior, answer_key=key)(f"q{i}?", "") == key
         for i in range(1000)
     )
     assert abs(hits / 1000 - 0.5) <= 0.05

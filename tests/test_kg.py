@@ -89,14 +89,14 @@ def test_parse_numeric_literal_inferred_decimal():
 def test_parse_malformed_line_reports_line_number():
     with pytest.raises(ParseError) as err:
         parse_ntriples("<a> <p>")
-    assert err.value.line_number == 1
+    assert err.value.line == 1
 
 
 def test_parse_is_all_or_nothing():
     text = "<a> <p> <b> .\n<broken line\n<c> <p> <d> ."
     with pytest.raises(ParseError) as err:
         parse_ntriples(text)
-    assert err.value.line_number == 2
+    assert err.value.line == 2
 
 
 def test_parse_skips_blanks_comments_and_dedups():
