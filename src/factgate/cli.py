@@ -44,7 +44,7 @@ from .generators import (
     MockMode,
     mock_generator,
 )
-from .kg import Graph, Iri, ParseError, parse_ntriples
+from .kg import HUB_DEGREE, Graph, Iri, ParseError, parse_ntriples
 
 T = TypeVar("T")
 
@@ -251,7 +251,13 @@ def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
             default=["label"],
             help="label predicate IRI for the lexicon (repeatable; default: label)",
         )
-        parser.add_argument("--max-hops", type=_positive_int, default=3)
+        parser.add_argument(
+            "--max-hops",
+            type=_positive_int,
+            default=3,
+            help="retrieval depth (default: 3); a reached class or node of "
+            f"more than {HUB_DEGREE} triples is not expanded",
+        )
         parser.add_argument(
             "--no-claims",
             choices=("abstain", "answer"),

@@ -96,7 +96,8 @@ def build_context(
     question: str, graph: Graph, lexicon: Lexicon, max_hops: int
 ) -> str:
     """The generator's context for a question: the N-Triples of the subgraph
-    within `max_hops` of the entities the question names."""
+    within `max_hops` of the entities the question names. No reached hub
+    (see kg.Graph) is expanded, so it stays bounded as the graph grows."""
     seeds = link_question_entities(question, lexicon)
     return serialize_ntriples(retrieve_subgraph(graph, seeds, max_hops))
 

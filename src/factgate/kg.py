@@ -20,6 +20,9 @@ XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 XSD_DECIMAL = "http://www.w3.org/2001/XMLSchema#decimal"
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 
+# Retrieval never expands a non-seed node of more incident triples.
+HUB_DEGREE = 64
+
 # Relative tolerance for numeric literal matching. Bound checks elsewhere
 # use exact decimal comparison; only *equality* is tolerant.
 NUMERIC_REL_TOL = Decimal("1e-9")
@@ -280,10 +283,11 @@ class Graph:
     order. The adjacency maps each IRI node to the ascending ranks of the
     triples whose subject or object it is, which serve object lookups and
     retrieval. All query results come out sorted, and every lookup is
-    equivalent to a linear scan.
+    equivalent to a linear scan. The hubs, fixed at build, are the classes
+    (`rdf:type` objects) and the nodes of more than HUB_DEGREE triples.
     """
 
-    __slots__ = ("_triples", "_spo", "_pos", "_adj")
+    __slots__ = ("_triples", "_spo", "_pos", "_adj", "_hubs")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: tuple[Triple, ...] = tuple(
@@ -301,6 +305,9 @@ class Graph:
         self._spo = spo
         self._pos = pos
         self._adj = adj
+        self._hubs = frozenset(t.object for t in pos.get(RDF_TYPE, ())).union(
+            node for node, ranks in adj.items() if len(ranks) > HUB_DEGREE
+        )
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -359,18 +366,20 @@ class Graph:
 def retrieve_subgraph(
     graph: Graph, seeds: Iterable[Iri], max_hops: int
 ) -> tuple[Triple, ...]:
-    """Breadth-first subgraph expansion from seed entities.
+    """Breadth-first subgraph expansion from seed entities, capped at hubs.
 
-    Hop 1 collects all triples incident to a seed; each later hop expands
-    from IRI terms newly reached in the previous one. Literal objects are
-    never expanded. Returns the collected triples as a sorted tuple, ready
-    for serialize_ntriples. The walk runs over the graph's triple ranks:
-    its cost grows with the triples it collects, and the result takes its
-    order from the graph's.
+    Hop 1 collects all triples incident to a seed, hub or not; each later
+    hop expands from IRI terms newly reached in the previous one. Literal
+    objects and reached hubs (see Graph) are never expanded, though the
+    edge that reached a hub is collected: a context is bounded by the
+    degree limit, not by the graph's size. Returns the collected triples
+    as a sorted tuple, ready for serialize_ntriples. The walk runs over the
+    graph's triple ranks: its cost grows with the triples it collects, and
+    the result takes its order from the graph's.
     """
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
-    triples, adj = graph._triples, graph._adj
+    triples, adj, hubs = graph._triples, graph._adj, graph._hubs
     frontier = set(seeds)
     visited = set(frontier)
     collected: set[int] = set()
@@ -387,7 +396,7 @@ def retrieve_subgraph(
                 reached.add(t.subject)
                 if isinstance(t.object, Iri):
                     reached.add(t.object)
-        frontier = reached - visited
+        frontier = reached - visited - hubs
         visited |= frontier
     return tuple(triples[rank] for rank in sorted(collected))
 

@@ -12,6 +12,7 @@ from factgate.gate import (
     AuditRecord,
     Verdict,
     audit_claim,
+    build_context,
     decide,
     decision_to_json,
     run_pipeline,
@@ -310,3 +311,66 @@ def test_provenance_records_violation_ids(setting):
     assert record["verdict"] == "ABSTAIN"
     assert record["response_text"] == ABSTENTION_TEXT
     assert "C2" in record["claims"][0]["violations"]
+
+
+# --- hub-capped retrieval at a realistic shape ----------------------------------
+
+
+def river_basin(n_rivers: int = 150):
+    """Typed rivers, all in <United_States>; only the first ten traverse a
+    state, six sharing <State_A> and four <State_B>. <River>, <State> and
+    <United_States> are the hubs."""
+    lines = [f"<State_A> {TYPE} <State> .", f"<State_B> {TYPE} <State> ."]
+    for i in range(n_rivers):
+        river = f"<Stream_{i:03d}>"
+        lines += [
+            f"{river} {TYPE} <River> .",
+            f'{river} <label> "Stream {i:03d}" .',
+            f'{river} <length> "{1000 * (i + 1)}.0" .',
+            f'{river} <sourceElevation> "{100 + i}.0" .',
+            f"{river} <inCountry> <United_States> .",
+        ]
+        if i < 10:
+            lines.append(f"{river} <traverses> <State_{'A' if i < 6 else 'B'}> .")
+    return parse_ntriples("\n".join(lines))
+
+
+def context_rivers(graph, lexicon):
+    context = build_context("How long is Stream 000?", graph, lexicon, max_hops=3)
+    subjects = {t.subject.value for t in parse_ntriples(context)}
+    return {s for s in subjects if s.startswith("Stream_")}
+
+
+def test_context_leaves_out_rivers_reached_only_through_hubs(monkeypatch):
+    graph = river_basin()
+    lexicon = build_lexicon(graph, [Iri("label")])
+    assert context_rivers(graph, lexicon) == {f"Stream_{i:03d}" for i in range(6)}
+    monkeypatch.setattr(graph, "_hubs", frozenset())
+    assert len(context_rivers(graph, lexicon)) == 150
+
+
+@pytest.mark.parametrize(
+    "answer, verdict",
+    [
+        ("Stream 000 is 1 km long.", Verdict.ANSWER),
+        ("Stream 000 is 9999 km long.", Verdict.ABSTAIN),
+        # Entailed only by a triple the capped context leaves out.
+        ("Stream 149 is 150 km long.", Verdict.ANSWER),
+    ],
+)
+def test_capped_context_keeps_the_full_graph_verdict(monkeypatch, answer, verdict):
+    graph = river_basin()
+    constraints = parse_manifest(MANIFEST)
+    rules = parse_rules(RULES_TEXT)
+    lexicon = build_lexicon(graph, [Iri("label")])
+    generator = mock_generator(MockBehavior(MockMode.FIXED_ANSWER), answer_key=answer)
+
+    def decide_json():
+        question = "How long is Stream 000?"
+        decision = run_pipeline(question, graph, constraints, generator, lexicon, rules)
+        return decision_to_json(question, decision)
+
+    capped = decide_json()
+    monkeypatch.setattr(graph, "_hubs", frozenset())
+    assert capped == decide_json()
+    assert json.loads(capped)["verdict"] == verdict.value

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factgate.kg import (
+    HUB_DEGREE,
     NUMERIC_REL_TOL,
+    RDF_TYPE,
     Datatype,
     Graph,
     Iri,
@@ -50,21 +53,40 @@ def scan_contains(graph, triple):
     )
 
 
-def bfs_oracle(graph, seeds, max_hops):
-    """Independent BFS over (subject, iri-object) adjacency."""
+def _ends(t):
+    obj = {t.object.value} if isinstance(t.object, Iri) else set()
+    return {t.subject.value} | obj
+
+
+def scan_hubs(graph):
+    """Linear-scan hub set: `rdf:type` objects, and IRI nodes with more than
+    HUB_DEGREE incident triples."""
+    classes = {
+        t.object.value
+        for t in graph
+        if t.predicate == RDF_TYPE and isinstance(t.object, Iri)
+    }
+    degree = Counter(n for t in graph for n in _ends(t))
+    return classes | {n for n, d in degree.items() if d > HUB_DEGREE}
+
+
+def bfs_oracle(graph, seeds, max_hops, capped=False):
+    """Independent BFS over (subject, iri-object) adjacency. Capped, a
+    reached hub (see scan_hubs) is never expanded; the seeds always are."""
+    hubs = scan_hubs(graph)
+    # Uncapped, the oracle models retrieval only where the cap is a no-op.
+    assert capped or not hubs, f"uncapped oracle on a graph with hubs {hubs}"
     frontier = {s.value for s in seeds}
     seen_nodes = set(frontier)
     out = set()
     for _ in range(max_hops):
         new_nodes = set()
         for t in graph:
-            ends = {t.subject.value} | (
-                {t.object.value} if isinstance(t.object, Iri) else set()
-            )
+            ends = _ends(t)
             if ends & frontier and t not in out:
                 out.add(t)
                 new_nodes |= ends
-        frontier = new_nodes - seen_nodes
+        frontier = new_nodes - seen_nodes - hubs
         seen_nodes |= frontier
     return out
 
@@ -359,6 +381,72 @@ def test_retrieval_agrees_with_bfs_oracle(graph_and_seeds, max_hops):
     g, seeds = graph_and_seeds
     oracle = bfs_oracle(g, seeds, max_hops)
     assert retrieve_subgraph(g, seeds, max_hops) == tuple(t for t in g if t in oracle)
+
+
+_CLASSES = [Iri("C0"), Iri("C1")]
+_LEAVES = [Iri(f"leaf{i}") for i in range(HUB_DEGREE + 2)]
+
+
+@st.composite
+def _hub_graph_and_seeds(draw):
+    """A drawn graph with `rdf:type` triples (n0 may be a class as well as a
+    subject) and a star of leaf triples around one drawn node, its size
+    straddling HUB_DEGREE. Two leaves also carry drawn triples, so a walk
+    can go on past the star."""
+    nodes = [*_NODES, *_LEAVES[:2]]
+    node = st.sampled_from(nodes)
+    p = st.sampled_from([Iri("p0"), Iri("p1")])
+    triples = draw(
+        st.lists(
+            st.builds(Triple, node, p, st.sampled_from([*_OBJECTS, *_LEAVES[:2]])),
+            max_size=30,
+        )
+    )
+    classes = st.sampled_from([*_CLASSES, _NODES[0]])
+    typed = st.builds(Triple, node, st.just(RDF_TYPE), classes)
+    triples += draw(st.lists(typed, max_size=6))
+    center = draw(st.sampled_from([*_NODES, *_CLASSES]))
+    size = draw(st.integers(HUB_DEGREE - 2, HUB_DEGREE + 2))
+    inward = draw(st.booleans())
+    triples += [
+        Triple(leaf, Iri("p2"), center) if inward else Triple(center, Iri("p2"), leaf)
+        for leaf in _LEAVES[:size]
+    ]
+    candidates = [*nodes, *_SINKS, *_CLASSES, _LEAVES[-1], Iri("absent")]
+    seeds = draw(st.sets(st.sampled_from(candidates), max_size=3))
+    return Graph(triples), seeds
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hub_graph_and_seeds(), st.integers(1, 3))
+def test_capped_retrieval_agrees_with_capped_oracle(graph_and_seeds, max_hops):
+    g, seeds = graph_and_seeds
+    oracle = bfs_oracle(g, seeds, max_hops, capped=True)
+    got = retrieve_subgraph(g, seeds, max_hops)
+    assert got == tuple(t for t in g if t in oracle)
+    seed_values = {s.value for s in seeds}
+    # Every seed is expanded, a hub seed too.
+    assert {t for t in g if _ends(t) & seed_values} <= set(got)
+    # A collected triple touches a seed or a non-hub: a reached hub keeps
+    # the edge that reached it, and none of its other triples.
+    hubs = scan_hubs(g) - seed_values
+    assert all(_ends(t) - hubs for t in got)
+    assert set(got) <= set(retrieve_subgraph(g, seeds, max_hops + 1))
+
+
+def test_reached_hub_keeps_its_edge_and_is_not_expanded():
+    a, b, c, h = Iri("a"), Iri("b"), Iri("C"), Iri("H")
+    a_h, a_c = Triple(a, Iri("p"), h), Triple(a, RDF_TYPE, c)
+    b_c = Triple(b, RDF_TYPE, c)
+    star = [Triple(h, Iri("p"), leaf) for leaf in _LEAVES]
+    g = Graph([a_h, a_c, b_c, *star])
+    assert set(retrieve_subgraph(g, {a}, 3)) == {a_h, a_c}
+    # A hub seed is expanded, and what it reaches expands in turn.
+    assert set(retrieve_subgraph(g, {c}, 2)) == {a_c, b_c, a_h}
+    assert set(retrieve_subgraph(g, {h}, 1)) == {a_h, *star}
+    # At exactly HUB_DEGREE incident triples a node is not a hub.
+    g = Graph([a_h, *star[: HUB_DEGREE - 1]])
+    assert set(retrieve_subgraph(g, {a}, 2)) == set(g)
 
 
 def _copy_term(term):
