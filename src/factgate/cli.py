@@ -183,6 +183,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             records = read_result_log(args.from_log)
         except (OSError, ParseError, DuplicateId) as exc:
             raise CliError(f"result log {args.from_log!r}: {exc}") from exc
+        # A log is scored only as the condition that wrote it.
+        logged = sorted({r.condition.value for r in records if r.condition})
+        if logged and logged != [condition.value]:
+            raise CliError(
+                f"result log {args.from_log!r}: holds records of "
+                f"{' and '.join(logged)}; re-scored as {condition.value}"
+            )
     else:
         if args.generator == "http":
             http = _http_generator(args)

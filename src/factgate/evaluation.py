@@ -87,6 +87,9 @@ class ResultRecord:
     rejected_violation: bool = False
     appropriate_abstention: bool | None = None
     failed: bool = False
+    # The condition that produced the record; None for a record read from a
+    # log that does not name one, such as an external run.
+    condition: Condition | None = None
 
     def __post_init__(self) -> None:
         if self.responded is Responded.ABSTAINED and self.correct is not None:
@@ -204,6 +207,7 @@ def record_to_dict(record: ResultRecord) -> dict:
         "rejected_violation": record.rejected_violation,
         "appropriate_abstention": record.appropriate_abstention,
         "failed": record.failed,
+        "condition": record.condition.value if record.condition else None,
     }
 
 
@@ -221,6 +225,10 @@ def record_from_dict(payload: dict, line: int = 0) -> ResultRecord:
                 payload, "appropriate_abstention", line
             ),
             failed=_flag(payload, "failed", line),
+            condition=(
+                None if payload.get("condition") is None
+                else Condition(payload["condition"])
+            ),
         )
     except (KeyError, ValueError) as exc:
         raise ParseError(line, f"bad result record: {exc}") from exc
@@ -305,6 +313,7 @@ def run_condition(
                 correct=None,
                 licensed=False,
                 failed=True,
+                condition=condition,
             )
 
     def _run_ungated_item(item: QAItem, gen: GeneratorFn) -> ResultRecord:
@@ -318,6 +327,7 @@ def run_condition(
             responded=Responded.ANSWERED,
             correct=answer_matches(response, item.gold_answer),
             licensed=False,
+            condition=condition,
         )
 
     def _run_oracle_item(item: QAItem, gen: GeneratorFn) -> ResultRecord:
@@ -331,6 +341,7 @@ def run_condition(
                 responded=Responded.ANSWERED,
                 correct=answer_matches(decision.response_text, item.gold_answer),
                 licensed=True,
+                condition=condition,
             )
         audits = decision.audits
         appropriate = (not audits) or any(
@@ -347,6 +358,7 @@ def run_condition(
             licensed=False,
             rejected_violation=item.violates_constraints and cited_violation,
             appropriate_abstention=appropriate,
+            condition=condition,
         )
 
     if jobs > 1:

@@ -10,9 +10,11 @@ pattern, and what lies within k hops of a set of seed entities.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
+from itertools import chain, filterfalse
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -260,13 +262,30 @@ def triple_sort_key(triple: Triple) -> tuple[str, str, str]:
     )
 
 
-def serialize_ntriples(triples: Iterable[Triple]) -> str:
-    """Serialize triples as N-Triples, one per line, in the order given.
+def serialize_ntriples(source: Graph | Subgraph) -> str:
+    """N-Triples of a Graph or a retrieve_subgraph result, one triple per
+    line, in the graph's sorted order.
 
-    A Graph and retrieve_subgraph's result iterate in sorted order, so
-    either serializes as sorted N-Triples.
+    Lines come from the graph's line cache, indexed by rank. It is made on
+    the first call and filled lazily: each line is rendered once, the first
+    time any call needs it, and reused after that. A graph that is never
+    serialized holds no cache; a filled one holds one string per triple,
+    about 100 bytes each. Concurrent calls may render the same line twice,
+    writing the same string to the same slot.
     """
-    lines = [triple_to_ntriples(t) for t in triples]
+    if isinstance(source, Graph):
+        graph, ranks = source, range(len(source))
+    else:
+        graph, ranks = source.graph, source.ranks
+    cache = graph._lines
+    if cache is None:
+        cache = graph._lines = [None] * len(graph._triples)
+    lines = []
+    for rank in ranks:
+        line = cache[rank]
+        if line is None:
+            line = cache[rank] = triple_to_ntriples(graph._triples[rank])
+        lines.append(line)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -277,37 +296,69 @@ class Graph:
     """Immutable indexed triple set.
 
     Triples are held in sorted order, each addressed by its rank (its
-    position in that order). Two indexes, keyed by the terms themselves,
-    back the subject and predicate lookups: subject -> predicate ->
-    triples, and predicate -> triples; each list is a run of the sorted
-    order. The adjacency maps each IRI node to the ascending ranks of the
-    triples whose subject or object it is, which serve object lookups and
-    retrieval. All query results come out sorted, and every lookup is
-    equivalent to a linear scan. The hubs, fixed at build, are the classes
+    position in that order). Two indexes, keyed by IRI strings, back the
+    subject and predicate lookups: subject -> predicate -> triples, and
+    predicate -> triples; each list is a run of the sorted order. Every IRI
+    node (a subject or an IRI object) gets a dense integer id at build,
+    through one string -> id table. Indexed by node id, the adjacency holds
+    the ascending ranks of the triples whose subject or object the node is,
+    which serve object lookups and retrieval; indexed by rank, two int
+    arrays hold each triple's subject and object node ids (-1 for a
+    literal). A lookup thus hashes strings, and retrieval only ints. All
+    query results come out sorted, and every lookup is equivalent to a
+    linear scan. The hubs, flagged by node id at build, are the classes
     (`rdf:type` objects) and the nodes of more than HUB_DEGREE triples.
+    The rendered lines live in a cache filled lazily (see
+    serialize_ntriples).
     """
 
-    __slots__ = ("_triples", "_spo", "_pos", "_adj", "_hubs")
+    __slots__ = (
+        "_triples", "_spo", "_pos", "_ids", "_adj", "_subjects", "_objects",
+        "_hubs", "_lines",
+    )
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: tuple[Triple, ...] = tuple(
             sorted(set(triples), key=triple_sort_key)
         )
-        spo: dict[Iri, dict[Iri, list[Triple]]] = {}
-        pos: dict[Iri, list[Triple]] = {}
-        adj: dict[Iri, list[int]] = {}
+        spo: dict[str, dict[str, list[Triple]]] = {}
+        pos: dict[str, list[Triple]] = {}
+        ids: dict[str, int] = {}
+        adj: list[list[int]] = []
+        subjects, objects = array("i"), array("i")
         for rank, t in enumerate(self._triples):
-            spo.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t)
-            pos.setdefault(t.predicate, []).append(t)
-            adj.setdefault(t.subject, []).append(rank)
-            if isinstance(t.object, Iri) and t.object != t.subject:
-                adj.setdefault(t.object, []).append(rank)
+            s, p, o = t.subject.value, t.predicate.value, t.object
+            spo.setdefault(s, {}).setdefault(p, []).append(t)
+            pos.setdefault(p, []).append(t)
+            sid = ids.setdefault(s, len(adj))
+            if sid == len(adj):
+                adj.append([])
+            adj[sid].append(rank)
+            subjects.append(sid)
+            if isinstance(o, Iri):
+                oid = ids.setdefault(o.value, len(adj))
+                if oid == len(adj):
+                    adj.append([])
+                if oid != sid:
+                    adj[oid].append(rank)
+                objects.append(oid)
+            else:
+                objects.append(-1)
         self._spo = spo
         self._pos = pos
+        self._ids = ids
         self._adj = adj
-        self._hubs = frozenset(t.object for t in pos.get(RDF_TYPE, ())).union(
-            node for node, ranks in adj.items() if len(ranks) > HUB_DEGREE
-        )
+        self._subjects = subjects
+        self._objects = objects
+        hubs = bytearray(len(adj))
+        for t in pos.get(RDF_TYPE_IRI, ()):
+            if isinstance(t.object, Iri):
+                hubs[ids[t.object.value]] = 1
+        for node, ranks in enumerate(adj):
+            if len(ranks) > HUB_DEGREE:
+                hubs[node] = 1
+        self._hubs = hubs
+        self._lines: list[str | None] | None = None
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -331,17 +382,19 @@ class Graph:
         """
         # Pick an index, then test only the positions it did not select.
         if s is not None:
-            by_p = self._spo.get(s, {})
+            by_p = self._spo.get(s.value, {})
             if p is not None:
-                found: Iterable[Triple] = by_p.get(p, ())
+                found: Iterable[Triple] = by_p.get(p.value, ())
             else:
                 # Predicates were inserted in sorted order within the subject.
                 found = (t for ts in by_p.values() for t in ts)
             p = None
         elif isinstance(o, Iri):
-            found = map(self._triples.__getitem__, self._adj.get(o, ()))
+            node = self._ids.get(o.value)
+            ranks = () if node is None else self._adj[node]
+            found = map(self._triples.__getitem__, ranks)
         elif p is not None:
-            found, p = self._pos.get(p, ()), None
+            found, p = self._pos.get(p.value, ()), None
         else:
             found = self._triples
         if p is None and o is None:
@@ -349,7 +402,7 @@ class Graph:
         return [
             t
             for t in found
-            if (p is None or t.predicate == p)
+            if (p is None or t.predicate.value == p.value)
             and (o is None or term_matches(t.object, o))
         ]
 
@@ -363,42 +416,54 @@ class Graph:
         return self.find_supporting(triple) is not None
 
 
-def retrieve_subgraph(
-    graph: Graph, seeds: Iterable[Iri], max_hops: int
-) -> tuple[Triple, ...]:
+@dataclass(frozen=True, slots=True)
+class Subgraph:
+    """A read-only view of some of a graph's triples: the graph and the
+    ascending ranks of the triples in view. It iterates its triples in the
+    graph's sorted order and serializes through the graph's line cache."""
+
+    graph: Graph
+    ranks: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __iter__(self) -> Iterator[Triple]:
+        return map(self.graph._triples.__getitem__, self.ranks)
+
+
+def retrieve_subgraph(graph: Graph, seeds: Iterable[Iri], max_hops: int) -> Subgraph:
     """Breadth-first subgraph expansion from seed entities, capped at hubs.
 
     Hop 1 collects all triples incident to a seed, hub or not; each later
-    hop expands from IRI terms newly reached in the previous one. Literal
+    hop expands from IRI nodes newly reached in the previous one. Literal
     objects and reached hubs (see Graph) are never expanded, though the
     edge that reached a hub is collected: a context is bounded by the
-    degree limit, not by the graph's size. Returns the collected triples
-    as a sorted tuple, ready for serialize_ntriples. The walk runs over the
-    graph's triple ranks: its cost grows with the triples it collects, and
-    the result takes its order from the graph's.
+    degree limit, not by the graph's size. The seeds are looked up once by
+    IRI string; the walk then runs over node ids and triple ranks only, so
+    its cost grows with the triples it collects. Returns a Subgraph of the
+    collected ranks, sorted, ready for serialize_ntriples.
     """
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
-    triples, adj, hubs = graph._triples, graph._adj, graph._hubs
-    frontier = set(seeds)
+    ids, adj, hubs = graph._ids, graph._adj, graph._hubs
+    subjects, objects = graph._subjects, graph._objects
+    frontier = {ids[s.value] for s in seeds if s.value in ids}
     visited = set(frontier)
     collected: set[int] = set()
     for _ in range(max_hops):
         if not frontier:
             break
-        reached: set[Iri] = set()
-        for node in frontier:
-            for rank in adj.get(node, ()):
-                if rank in collected:
-                    continue
-                collected.add(rank)
-                t = triples[rank]
-                reached.add(t.subject)
-                if isinstance(t.object, Iri):
-                    reached.add(t.object)
-        frontier = reached - visited - hubs
+        ranks = set(chain.from_iterable(map(adj.__getitem__, frontier)))
+        ranks -= collected
+        collected |= ranks
+        reached = set(map(subjects.__getitem__, ranks))
+        reached.update(map(objects.__getitem__, ranks))
+        reached -= visited
+        reached.discard(-1)
+        frontier = set(filterfalse(hubs.__getitem__, reached))
         visited |= frontier
-    return tuple(triples[rank] for rank in sorted(collected))
+    return Subgraph(graph, tuple(sorted(collected)))
 
 
 def parse_decimal(text: str) -> Decimal:

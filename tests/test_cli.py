@@ -334,6 +334,37 @@ def test_eval_truncated_result_log_is_exit_2(tmp_path, capsys):
     assert not copy.exists()
 
 
+def test_eval_log_of_another_condition_is_exit_2(tmp_path, capsys):
+    baseline, oracle = tmp_path / "baseline.jsonl", tmp_path / "oracle.jsonl"
+    assert main(eval_args("--condition", "baseline", "--output", str(baseline))) == 0
+    assert main(eval_args("--condition", "oracle", "--output", str(oracle))) == 0
+    capsys.readouterr()
+    rows = [json.loads(line) for line in baseline.read_text().splitlines()]
+    assert {row["condition"] for row in rows} == {"BASELINE"}
+    # A baseline log is not re-scored as an oracle run.
+    assert main(eval_args("--condition", "oracle", "--from-log", str(baseline))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "holds records of BASELINE; re-scored as ORACLE" in captured.err
+    # Nor is a log that mixes two conditions, under either of them.
+    mixed = tmp_path / "mixed.jsonl"
+    lines = oracle.read_text().splitlines()[:12] + baseline.read_text().splitlines()[12:]
+    mixed.write_text("\n".join(lines) + "\n")
+    for condition in ("oracle", "baseline"):
+        assert main(eval_args("--condition", condition, "--from-log", str(mixed))) == 2
+        assert "holds records of BASELINE and ORACLE" in capsys.readouterr().err
+    # A log that names no condition is scored as the flag says.
+    unnamed = tmp_path / "unnamed.jsonl"
+    unnamed.write_text("".join(
+        json.dumps({k: v for k, v in row.items() if k != "condition"}) + "\n"
+        for row in rows
+    ))
+    assert main(eval_args("--condition", "baseline", "--from-log", str(unnamed))) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("BASELINE")
+    assert main(eval_args("--condition", "oracle", "--from-log", str(unnamed))) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("ORACLE")
+
+
 def test_count_flags_below_one_are_input_errors(capsys):
     assert main(eval_args("--condition", "baseline", "--jobs", "-3")) == 2
     assert main(eval_args("--condition", "baseline", "--max-hops", "0")) == 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,15 +34,19 @@ from factgate.kg import Iri, ParseError, parse_ntriples
 from conftest import FIXTURES
 
 
-@pytest.fixture(scope="module")
-def rivers():
+def fresh_rivers():
+    """Graph, constraints, rules and lexicon of the rivers fixture, parsed
+    anew, so the graph's line cache starts cold."""
     base = FIXTURES / "rivers"
     graph = parse_ntriples((base / "graph.nt").read_text(encoding="utf-8"))
     constraints = parse_manifest((base / "constraints.txt").read_text(encoding="utf-8"))
     rules = parse_rules((base / "rules.txt").read_text(encoding="utf-8"))
-    lexicon = build_lexicon(graph, [Iri("label")])
-    dataset = load_dataset(base / "qa.jsonl")
-    return graph, constraints, rules, lexicon, dataset
+    return graph, constraints, rules, build_lexicon(graph, [Iri("label")])
+
+
+@pytest.fixture(scope="module")
+def rivers():
+    return (*fresh_rivers(), load_dataset(FIXTURES / "rivers" / "qa.jsonl"))
 
 
 # --- dataset loading ----------------------------------------------------------
@@ -309,6 +314,34 @@ def test_parallel_run_matches_serial(rivers):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("condition", [Condition.CONTEXT_ONLY, Condition.ORACLE])
+def test_threads_filling_the_line_cache_give_the_serial_records(rivers, condition):
+    # Four workers render the context lines of a cold graph concurrently;
+    # each line is written to its own slot, so the records and the cached
+    # contexts match a serial run's.
+    dataset = rivers[4]
+    runs = {}
+    for jobs in (4, 1):
+        graph, constraints, rules, lexicon = fresh_rivers()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs[jobs] = run_condition(
+                condition, dataset, graph, constraints,
+                mock_factory(MockBehavior(MockMode.ECHO_CONTEXT), rules=rules),
+                lexicon, rules, max_hops=3, jobs=jobs,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        contexts = [build_context(i.question, graph, lexicon, 3) for i in dataset]
+        cold_graph, _, _, cold_lexicon = fresh_rivers()
+        assert contexts == [
+            build_context(i.question, cold_graph, cold_lexicon, 3) for i in dataset
+        ]
+    assert runs[4] == runs[1]
+    assert any(r.responded is Responded.ANSWERED for r in runs[1])
+
+
 # --- compute_metrics ---------------------------------------------------------------
 
 
@@ -504,8 +537,22 @@ def test_result_log_round_trip(tmp_path, rivers):
     first = json.loads(path.read_text().splitlines()[0])
     assert set(first) == {
         "item_id", "responded", "correct", "licensed", "rejected_violation",
-        "appropriate_abstention", "failed",
+        "appropriate_abstention", "failed", "condition",
     }
+    assert first["condition"] == "ORACLE"
+
+
+@pytest.mark.parametrize("value", ["oracle", "", 5, ["ORACLE"]])
+def test_result_log_condition_must_name_a_condition(tmp_path, value):
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps({**LOG_ROW, "condition": "BASELINE"}) + "\n")
+    assert read_result_log(path)[0].condition is Condition.BASELINE
+    path.write_text(json.dumps({**LOG_ROW, "condition": None}) + "\n")
+    assert read_result_log(path)[0].condition is None
+    path.write_text(json.dumps({**LOG_ROW, "condition": value}) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_result_log(path)
+    assert err.value.line == 1
 
 
 LOG_ROW = {

@@ -345,7 +345,7 @@ def test_context_leaves_out_rivers_reached_only_through_hubs(monkeypatch):
     graph = river_basin()
     lexicon = build_lexicon(graph, [Iri("label")])
     assert context_rivers(graph, lexicon) == {f"Stream_{i:03d}" for i in range(6)}
-    monkeypatch.setattr(graph, "_hubs", frozenset())
+    monkeypatch.setattr(graph, "_hubs", bytearray(len(graph._hubs)))
     assert len(context_rivers(graph, lexicon)) == 150
 
 
@@ -371,6 +371,6 @@ def test_capped_context_keeps_the_full_graph_verdict(monkeypatch, answer, verdic
         return decision_to_json(question, decision)
 
     capped = decide_json()
-    monkeypatch.setattr(graph, "_hubs", frozenset())
+    monkeypatch.setattr(graph, "_hubs", bytearray(len(graph._hubs)))
     assert capped == decide_json()
     assert json.loads(capped)["verdict"] == verdict.value

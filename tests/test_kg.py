@@ -22,8 +22,10 @@ from factgate.kg import (
     numbers_close,
     parse_ntriples,
     retrieve_subgraph,
+    Subgraph,
     serialize_ntriples,
     term_matches,
+    triple_sort_key,
     triple_to_ntriples,
 )
 
@@ -338,7 +340,7 @@ def test_bfs_matches_independent_oracle_on_random_fixture():
     seeds = {Iri("e0"), Iri("e7")}
     sub = retrieve_subgraph(g, seeds, max_hops=3)
     assert set(sub) == bfs_oracle(g, seeds, 3)
-    assert isinstance(sub, tuple) and list(sub) == [t for t in g if t in sub]
+    assert isinstance(sub, Subgraph) and list(sub) == [t for t in g if t in set(sub)]
 
 
 _NODES = [Iri(f"n{i}") for i in range(5)]
@@ -380,7 +382,7 @@ def _graph_and_seeds(draw):
 def test_retrieval_agrees_with_bfs_oracle(graph_and_seeds, max_hops):
     g, seeds = graph_and_seeds
     oracle = bfs_oracle(g, seeds, max_hops)
-    assert retrieve_subgraph(g, seeds, max_hops) == tuple(t for t in g if t in oracle)
+    assert tuple(retrieve_subgraph(g, seeds, max_hops)) == tuple(t for t in g if t in oracle)
 
 
 _CLASSES = [Iri("C0"), Iri("C1")]
@@ -422,7 +424,7 @@ def _hub_graph_and_seeds(draw):
 def test_capped_retrieval_agrees_with_capped_oracle(graph_and_seeds, max_hops):
     g, seeds = graph_and_seeds
     oracle = bfs_oracle(g, seeds, max_hops, capped=True)
-    got = retrieve_subgraph(g, seeds, max_hops)
+    got = tuple(retrieve_subgraph(g, seeds, max_hops))
     assert got == tuple(t for t in g if t in oracle)
     seed_values = {s.value for s in seeds}
     # Every seed is expanded, a hub seed too.
@@ -476,9 +478,73 @@ def test_graph_of_separately_built_terms_answers_like_the_parsed_one():
     for seeds in ({Iri("a")}, {Iri("d")}, {Iri("c"), Iri("zz")}):
         for k in (1, 2, 3):
             oracle = bfs_oracle(parsed, seeds, k)
-            got = retrieve_subgraph(built, seeds, k)
-            assert got == retrieve_subgraph(parsed, seeds, k)
+            got = tuple(retrieve_subgraph(built, seeds, k))
+            assert got == tuple(retrieve_subgraph(parsed, seeds, k))
             assert got == tuple(t for t in parsed if t in oracle)
+
+
+# Objects whose rendering takes care: escapes, strings that look numeric
+# (rendered with an explicit xsd:string) and integers (xsd:integer).
+_RENDERED_OBJECTS = [
+    *_NODES,
+    *_SINKS,
+    Literal('say "hi"\n', Datatype.STRING),
+    Literal("back\\slash\ttab\r", Datatype.STRING),
+    Literal("12", Datatype.STRING),
+    Literal("-1.5", Datatype.STRING),
+    Literal("n1", Datatype.STRING),
+    Literal("7", Datatype.INTEGER),
+    Literal("-12", Datatype.INTEGER),
+    Literal("2.50", Datatype.DECIMAL),
+]
+
+
+@st.composite
+def _rendered_graph_and_seeds(draw):
+    """Drawn triples over _RENDERED_OBJECTS, self-loops, and a star of leaf
+    triples around one drawn node, its size straddling HUB_DEGREE."""
+    node = st.sampled_from(_NODES)
+    p = st.sampled_from([Iri("p0"), Iri("p1")])
+    triples = draw(
+        st.lists(
+            st.builds(Triple, node, p, st.sampled_from(_RENDERED_OBJECTS)),
+            max_size=30,
+        )
+    )
+    triples += [Triple(n, Iri("p1"), n) for n in draw(st.sets(node, max_size=2))]
+    center = draw(node)
+    size = draw(st.integers(HUB_DEGREE - 1, HUB_DEGREE + 1))
+    triples += [Triple(center, Iri("p2"), leaf) for leaf in _LEAVES[:size]]
+    candidates = [*_NODES, *_SINKS, _LEAVES[0], Iri("absent")]
+    seeds = draw(st.sets(st.sampled_from(candidates), max_size=3))
+    return triples, seeds
+
+
+def _rendered(triples):
+    return "".join(
+        triple_to_ntriples(t) + "\n" for t in sorted(set(triples), key=triple_sort_key)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rendered_graph_and_seeds(), st.integers(1, 3))
+def test_serialized_context_matches_the_rendered_oracle(case, max_hops):
+    triples, seeds = case
+    g = Graph(triples)
+    expected = _rendered(bfs_oracle(g, seeds, max_hops, capped=True))
+    # A cold line cache, then a warm one.
+    assert serialize_ntriples(retrieve_subgraph(g, seeds, max_hops)) == expected
+    assert serialize_ntriples(retrieve_subgraph(g, seeds, max_hops)) == expected
+    # A cache filled by serializing the whole graph first.
+    whole = Graph(triples)
+    assert serialize_ntriples(whole) == _rendered(triples)
+    assert serialize_ntriples(retrieve_subgraph(whole, seeds, max_hops)) == expected
+    assert serialize_ntriples(whole) == _rendered(triples)
+    # A graph whose terms were built separately from the drawn ones.
+    copied = Graph(
+        Triple(*map(_copy_term, (t.subject, t.predicate, t.object))) for t in triples
+    )
+    assert serialize_ntriples(retrieve_subgraph(copied, seeds, max_hops)) == expected
 
 
 def test_subgraph_monotone_in_hops():
