@@ -10,7 +10,6 @@ pattern, and what lies within k hops of a set of seed entities.
 from __future__ import annotations
 
 import re
-from array import array
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -175,16 +174,15 @@ def _parse_object(token: str, iri: Callable[[str], Iri]) -> Term:
     return Literal(lexical, datatype)
 
 
-def _parse_line(line: str, iri: Callable[[str], Iri]) -> Triple:
-    m = _LINE_RE.match(line)
-    if m is None:
-        raise ValueError("expected `<subject> <predicate> object .`")
-    return Triple(iri(m.group(1)), iri(m.group(2)), _parse_object(m.group(3), iri))
+_LINE_SHAPE = "expected `<subject> <predicate> object .`"
 
 
 def parse_ntriples_line(line: str) -> Triple:
     """Parse one `<s> <p> o .` line. Raises ValueError on malformed input."""
-    return _parse_line(line.strip(), Iri)
+    m = _LINE_RE.match(line.strip())
+    if m is None:
+        raise ValueError(_LINE_SHAPE)
+    return Triple(Iri(m.group(1)), Iri(m.group(2)), _parse_object(m.group(3), Iri))
 
 
 class _IriTable(dict):
@@ -194,6 +192,44 @@ class _IriTable(dict):
     def __missing__(self, value: str) -> Iri:
         iri = self[value] = Iri(value)
         return iri
+
+
+class _TermTable:
+    """One parse's term tables. `iris` maps an IRI string to its one `Iri`;
+    `texts` maps an object token to the N-Triples text of its term
+    (term_to_ntriples), and `objects` that text to the term. An object
+    token is parsed, validated and rendered on its first occurrence only,
+    and two spellings of one term (`"5"`, `"5"^^<...#decimal>`) give one
+    text and one term object."""
+
+    def __init__(self) -> None:
+        self.iris = _IriTable()
+        self.texts: dict[str, str] = {}
+        self.objects: dict[str, Term] = {}
+
+    def read(self, source: str | IO[str]) -> Iterator[tuple[str, str, str]]:
+        """(subject, predicate, object text) of each content line, in text
+        order; a malformed line raises a ParseError when it is reached."""
+        iri, texts = self.iris.__getitem__, self.texts
+        for number, line in content_lines(source):
+            m = _LINE_RE.match(line)
+            try:
+                if m is None:
+                    raise ValueError(_LINE_SHAPE)
+                s, p, token = m.groups()
+                key = iri(s).value, iri(p).value, texts.get(token) or self._text(token)
+            except ValueError as exc:
+                raise ParseError(number, str(exc)) from exc
+            yield key
+
+    def _text(self, token: str) -> str:
+        term = _parse_object(token, self.iris.__getitem__)
+        text = term_to_ntriples(term)
+        if text == token:
+            text = token  # most tokens are their text: keep one string
+        self.texts[token] = text
+        self.objects.setdefault(text, term)
+        return text
 
 
 def content_lines(source: str | IO[str]) -> Iterator[tuple[int, str]]:
@@ -210,25 +246,30 @@ def iter_ntriples(source: str | IO[str]) -> Iterator[Triple]:
     """Yield the triples of N-Triples text in text order, lazily.
 
     Blank lines and `#` comment lines are skipped. A malformed line raises
-    a ParseError carrying its line number when it is reached. Every
-    occurrence of one IRI string in the text yields the same `Iri` object.
+    a ParseError carrying its line number when it is reached. Terms are
+    interned for the parse: every occurrence of one IRI string yields the
+    same `Iri` object, and every occurrence of one object token (or of
+    another spelling of the same literal) the same term object, parsed and
+    validated once.
     """
-    iri = _IriTable().__getitem__
-    for number, line in content_lines(source):
-        try:
-            triple = _parse_line(line, iri)
-        except ValueError as exc:
-            raise ParseError(number, str(exc)) from exc
-        yield triple
+    table = _TermTable()
+    iris, objects = table.iris, table.objects
+    for s, p, o in table.read(source):
+        yield Triple(iris[s], iris[p], objects[o])
 
 
 def parse_ntriples(source: str | IO[str]) -> "Graph":
     """Parse N-Triples text into a Graph.
 
     Duplicate triples are deduplicated. Any malformed line aborts the
-    whole parse with a ParseError carrying its line number.
+    whole parse with a ParseError carrying its line number. The lines are
+    read into string keys (see Graph); no `Triple` is made before the keys
+    are deduplicated and sorted.
     """
-    return Graph(iter_ntriples(source))
+    table = _TermTable()
+    graph = Graph.__new__(Graph)
+    graph._index(table.read(source), table.iris, table.objects)
+    return graph
 
 
 def term_to_ntriples(term: Term) -> str:
@@ -296,20 +337,25 @@ class Graph:
     """Immutable indexed triple set.
 
     Triples are held in sorted order, each addressed by its rank (its
-    position in that order). Two indexes, keyed by IRI strings, back the
-    subject and predicate lookups: subject -> predicate -> triples, and
-    predicate -> triples; each list is a run of the sorted order. Every IRI
-    node (a subject or an IRI object) gets a dense integer id at build,
-    through one string -> id table. Indexed by node id, the adjacency holds
-    the ascending ranks of the triples whose subject or object the node is,
-    which serve object lookups and retrieval; indexed by rank, two int
-    arrays hold each triple's subject and object node ids (-1 for a
-    literal). A lookup thus hashes strings, and retrieval only ints. All
-    query results come out sorted, and every lookup is equivalent to a
-    linear scan. The hubs, flagged by node id at build, are the classes
-    (`rdf:type` objects) and the nodes of more than HUB_DEGREE triples.
-    The rendered lines live in a cache filled lazily (see
-    serialize_ntriples).
+    position in that order). The order is that of the (subject, predicate,
+    object text) string keys, the object text being term_to_ntriples of the
+    object. One build serves `Graph(triples)` and parse_ntriples alike: it
+    deduplicates and sorts those keys as strings and makes each Triple
+    after that, from tables mapping the strings to terms. Two indexes,
+    keyed by IRI strings, back the subject and predicate lookups: subject
+    -> predicate -> (lo, hi), the rank run of the sorted order holding that
+    pair's triples, and predicate -> triples. Every IRI node (a subject or
+    an IRI object) gets a dense integer id at build, through one string ->
+    id table. Indexed by node id, the adjacency holds the ascending ranks
+    of the triples whose subject or object the node is, which serve object
+    lookups and retrieval; indexed by rank, two int lists hold each
+    triple's subject and object node ids (-1 for a literal), the very int
+    objects of the id table. A lookup thus hashes strings, and retrieval
+    only ints. All query results come out sorted, and every lookup is
+    equivalent to a linear scan. The hubs, flagged by node id at build,
+    are the classes (`rdf:type` objects) and the nodes of more than
+    HUB_DEGREE triples. The rendered lines live in a cache filled lazily
+    (see serialize_ntriples); no line is rendered at build.
     """
 
     __slots__ = (
@@ -318,21 +364,58 @@ class Graph:
     )
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: tuple[Triple, ...] = tuple(
-            sorted(set(triples), key=triple_sort_key)
-        )
-        spo: dict[str, dict[str, list[Triple]]] = {}
+        iris: dict[str, Iri] = {}
+        objects: dict[str, Term] = {}
+        keys = []
+        for t in triples:
+            s, p, text = t.subject, t.predicate, term_to_ntriples(t.object)
+            iris.setdefault(s.value, s)
+            iris.setdefault(p.value, p)
+            objects.setdefault(text, t.object)
+            keys.append((s.value, p.value, text))
+        self._index(keys, iris, objects)
+
+    def _index(
+        self,
+        keys: Iterable[tuple[str, str, str]],
+        iris: dict[str, Iri],
+        objects: dict[str, Term],
+    ) -> None:
+        """The one build, from (subject, predicate, object text) keys and
+        the term tables that map those strings to terms. The keys are
+        deduplicated and sorted as strings; each Triple is made after that,
+        once per distinct key."""
+        keys = sorted(set(keys))
+        triples = self._triples = [
+            Triple(iris[s], iris[p], objects[o]) for s, p, o in keys
+        ]
+        # Drop the keys before the indexes grow: the two never coexist,
+        # which keeps the build's peak memory down.
+        del keys
+        spo: dict[str, dict[str, tuple[int, int]]] = {}
         pos: dict[str, list[Triple]] = {}
         ids: dict[str, int] = {}
         adj: list[list[int]] = []
-        subjects, objects = array("i"), array("i")
-        for rank, t in enumerate(self._triples):
+        subjects: list[int] = []
+        object_ids: list[int] = []
+        runs: dict[str | None, tuple[int, int]] = {}  # scratch until a subject opens
+        run_s = run_p = None
+        lo = 0
+        for rank, t in enumerate(triples):
             s, p, o = t.subject.value, t.predicate.value, t.object
-            spo.setdefault(s, {}).setdefault(p, []).append(t)
+            # A subject's triples are adjacent, and so are its predicate's:
+            # each (subject, predicate) run is closed when the next opens.
+            if s != run_s:
+                runs[run_p] = (lo, rank)
+                runs = spo[s] = {}
+                sid = ids.setdefault(s, len(adj))
+                if sid == len(adj):
+                    adj.append([])
+                run_s, run_p, lo = s, p, rank
+            elif p != run_p:
+                runs[run_p] = (lo, rank)
+                run_p, lo = p, rank
             pos.setdefault(p, []).append(t)
-            sid = ids.setdefault(s, len(adj))
-            if sid == len(adj):
-                adj.append([])
             adj[sid].append(rank)
             subjects.append(sid)
             if isinstance(o, Iri):
@@ -341,15 +424,16 @@ class Graph:
                     adj.append([])
                 if oid != sid:
                     adj[oid].append(rank)
-                objects.append(oid)
+                object_ids.append(oid)
             else:
-                objects.append(-1)
+                object_ids.append(-1)
+        runs[run_p] = (lo, len(triples))
         self._spo = spo
         self._pos = pos
         self._ids = ids
         self._adj = adj
         self._subjects = subjects
-        self._objects = objects
+        self._objects = object_ids
         hubs = bytearray(len(adj))
         for t in pos.get(RDF_TYPE_IRI, ()):
             if isinstance(t.object, Iri):
@@ -378,21 +462,29 @@ class Graph:
         """All triples matching the bound positions, in sorted order.
 
         Subject and predicate match byte-equal; a bound object matches per
-        term_matches (tolerant for numeric literals).
+        term_matches (tolerant for numeric literals). A bound subject picks
+        a slice of the sorted triples by its rank runs, a bound IRI object
+        its adjacency ranks, a bound predicate alone its list.
         """
         # Pick an index, then test only the positions it did not select.
         if s is not None:
-            by_p = self._spo.get(s.value, {})
+            runs = self._spo.get(s.value)
+            if runs is None:
+                return []
             if p is not None:
-                found: Iterable[Triple] = by_p.get(p.value, ())
+                lo, hi = runs.get(p.value, (0, 0))
             else:
-                # Predicates were inserted in sorted order within the subject.
-                found = (t for ts in by_p.values() for t in ts)
-            p = None
-        elif isinstance(o, Iri):
+                # A subject's runs are adjacent, inserted in sorted order.
+                spans = [*runs.values()]
+                lo, hi = spans[0][0], spans[-1][1]
+            run = self._triples[lo:hi]
+            if o is None:
+                return run  # the slice is a new list
+            return [t for t in run if term_matches(t.object, o)]
+        if isinstance(o, Iri):
             node = self._ids.get(o.value)
             ranks = () if node is None else self._adj[node]
-            found = map(self._triples.__getitem__, ranks)
+            found: Iterable[Triple] = map(self._triples.__getitem__, ranks)
         elif p is not None:
             found, p = self._pos.get(p.value, ()), None
         else:

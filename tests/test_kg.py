@@ -19,12 +19,15 @@ from factgate.kg import (
     Literal,
     ParseError,
     Triple,
+    iter_ntriples,
     numbers_close,
     parse_ntriples,
+    parse_ntriples_line,
     retrieve_subgraph,
     Subgraph,
     serialize_ntriples,
     term_matches,
+    term_to_ntriples,
     triple_sort_key,
     triple_to_ntriples,
 )
@@ -131,18 +134,32 @@ def test_parse_skips_blanks_comments_and_dedups():
 
 def test_parse_gives_one_object_per_iri():
     # "a" and "p" occur in all three positions, "b" as subject and object.
-    g = parse_ntriples(
-        "<a> <p> <b> .\n<b> <p> <a> .\n<b> <a> <p> .\n<p> <q> <p> .\n<a> <q> \"1\" ."
+    # Each literal token occurs twice; "1" is spelled two ways.
+    text = (
+        "<a> <p> <b> .\n<b> <p> <a> .\n<b> <a> <p> .\n<p> <q> <p> .\n<a> <q> \"1\" .\n"
+        '<b> <q> "1" .\n<p> <p> "1"^^<http://www.w3.org/2001/XMLSchema#decimal> .\n'
+        '<a> <r> "x y" .\n<b> <r> "x y" .\n'
+        '<a> <s> "007"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+        '<b> <s> "007"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
     )
-    by_value: dict[str, Iri] = {}
-    for t in g:
-        for term in (t.subject, t.predicate, t.object):
-            if isinstance(term, Iri):
-                assert by_value.setdefault(term.value, term) is term
-    assert sorted(by_value) == ["a", "b", "p", "q"]
-    # The table lives for one parse only.
-    again = parse_ntriples("<a> <p> <b> .")
-    assert next(iter(again)).subject is not by_value["a"]
+    for triples in (parse_ntriples(text), list(iter_ntriples(text))):
+        by_value: dict[str, Iri] = {}
+        by_text: dict[str, Literal] = {}
+        for t in triples:
+            for term in (t.subject, t.predicate, t.object):
+                if isinstance(term, Iri):
+                    assert by_value.setdefault(term.value, term) is term
+                else:
+                    assert by_text.setdefault(term_to_ntriples(term), term) is term
+        assert sorted(by_value) == ["a", "b", "p", "q", "r", "s"]
+        assert sorted(by_text) == [
+            '"007"^^<http://www.w3.org/2001/XMLSchema#integer>', '"1"', '"x y"'
+        ]
+    # The tables live for one parse only.
+    again = parse_ntriples('<a> <p> <b> .\n<a> <q> "1" .')
+    first, second = again
+    assert first.subject is not by_value["a"]
+    assert second.object is not by_text['"1"']
 
 
 def test_terms_and_triples_have_no_instance_dict():
@@ -177,6 +194,85 @@ def test_parse_rejects_nonfinite_numeric_literal():
     # "NaN" does not fit the plain-decimal lexical space, so it stays a string.
     g = parse_ntriples('<a> <p> "NaN" .')
     assert next(iter(g)).object.datatype is Datatype.STRING
+
+
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+# As keys "ab" < "ab1", but as lines "<ab1>" < "<ab>" ('1' < '>').
+_LINE_IRIS = ["a", "a!", "ab", "ab1", "b"]
+# Several spellings of one term ("5", "5"^^decimal; "007" and "7" are not
+# one), numeric-looking strings, escapes.
+_LINE_OBJECTS = [
+    *(f"<{v}>" for v in _LINE_IRIS),
+    '"5"', f'"5"^^<{_XSD}decimal>', '"5.0"', f'"5"^^<{_XSD}integer>',
+    f'"007"^^<{_XSD}integer>', f'"7"^^<{_XSD}integer>', f'"5"^^<{_XSD}string>',
+    f'"-1.5"^^<{_XSD}string>', '"x"', f'"x"^^<{_XSD}string>', '""',
+    '"say \\"hi\\"\\n"', '"back\\\\slash\\ttab"',
+]
+_MALFORMED_LINES = [
+    "<a> <p>",
+    "<a b> <p> <b> .",
+    "<> <p> <b> .",
+    "<a> <p> <b c> .",
+    f'<a> <p> "1.5"^^<{_XSD}double> .',
+    f'<a> <p> "x"^^<{_XSD}integer> .',
+    '<a> <p> "bad\\q" .',
+]
+# Another spelling of the same term.
+_RESPELLED = {'"5"': f'"5"^^<{_XSD}decimal>', '"x"': f'"x"^^<{_XSD}string>'}
+
+
+@st.composite
+def _ntriples_text(draw):
+    """N-Triples text over _LINE_IRIS and _LINE_OBJECTS: repeated triples,
+    some respelled, padding, blank and comment lines, and maybe one
+    malformed line."""
+    iri = st.sampled_from(_LINE_IRIS)
+    row = st.tuples(iri, iri, st.sampled_from(_LINE_OBJECTS))
+    rows = draw(st.lists(row, max_size=20))
+    if rows:
+        again = draw(st.lists(st.sampled_from(rows), max_size=6))
+        rows += [(s, p, _RESPELLED.get(o, o)) for s, p, o in again]
+    sep = st.sampled_from([" ", "\t", "  "])
+    pad = st.sampled_from(["", " "])
+    lines = []
+    for s, p, o in draw(st.permutations(rows)):
+        a, b, c, d = draw(sep), draw(sep), draw(pad), draw(pad)
+        lines.append(f"{d}<{s}>{a}<{p}>{b}{o}{c}.{d}")
+    filler = st.sampled_from(["", "   ", "# a comment", "  #<a> <p> <b> ."])
+    for text in draw(st.lists(filler, max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), text)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(_MALFORMED_LINES)))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ntriples_text())
+def test_parse_agrees_with_the_per_line_reader(text):
+    expected, error = [], None
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.strip().startswith("#"):
+            continue
+        try:
+            expected.append(parse_ntriples_line(line))
+        except ValueError as exc:
+            error = (number, str(exc))
+            break
+    yielded = []
+    if error is None:
+        graph = parse_ntriples(text)
+        assert tuple(graph) == tuple(sorted(set(expected), key=triple_sort_key))
+        yielded.extend(iter_ntriples(text))
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_ntriples(text)
+        assert (err.value.line, err.value.reason) == error
+        # The lazy reader yields every line before the malformed one.
+        with pytest.raises(ParseError) as err:
+            yielded.extend(iter_ntriples(text))
+        assert (err.value.line, err.value.reason) == error
+    assert yielded == expected
 
 
 # --- entailment ----------------------------------------------------------
@@ -460,27 +556,41 @@ def _copy_term(term):
 def test_graph_of_separately_built_terms_answers_like_the_parsed_one():
     parsed = parse_ntriples(
         "<a> <p> <b> .\n<b> <p> <c> .\n<c> <q> <a> .\n<a> <q> <a> .\n"
-        '<b> <q> "2.5" .\n<c> <p> "b" .\n<d> <p> <b> .'
+        '<b> <q> "2.5" .\n<c> <p> "b" .\n<d> <p> <b> .\n<ab> <p> <a> .\n'
+        '<ab1> <p> "say \\"hi\\"" .\n'
+        '<a> <r> "12"^^<http://www.w3.org/2001/XMLSchema#string> .\n'
+        '<a> <r> "7"^^<http://www.w3.org/2001/XMLSchema#integer> .'
     )
-    built = Graph(
-        Triple(*map(_copy_term, (t.subject, t.predicate, t.object))) for t in parsed
-    )
+    # Separately built terms, every triple twice, in a shuffled order.
+    copies = [
+        Triple(*map(_copy_term, (t.subject, t.predicate, t.object)))
+        for t in [*parsed, *parsed]
+    ]
+    random.Random(5).shuffle(copies)
+    built = Graph(copies)
     assert tuple(built) == tuple(parsed)
+    assert serialize_ntriples(built) == serialize_ntriples(parsed)
     assert next(iter(built)).subject is not next(iter(parsed)).subject
     # Query terms are built separately from both graphs' terms too.
-    terms = [None, Iri("a"), Iri("b"), Iri("d"), Iri("zz")]
-    objects = [*terms, lit("2.50"), Literal("b", Datatype.STRING)]
+    terms = [None, Iri("a"), Iri("b"), Iri("d"), Iri("ab"), Iri("ab1"), Iri("zz")]
+    objects = [
+        *terms, lit("2.50"), Literal("b", Datatype.STRING),
+        Literal("12", Datatype.STRING), lit("7"), Literal('say "hi"', Datatype.STRING),
+    ]
     for s in terms:
-        for p in [None, Iri("p"), Iri("q")]:
+        for p in [None, Iri("p"), Iri("q"), Iri("r")]:
             for o in objects:
                 got = built.match(s, p, o)
                 assert got == parsed.match(s, p, o) == scan_match(parsed, s, p, o)
     for seeds in ({Iri("a")}, {Iri("d")}, {Iri("c"), Iri("zz")}):
         for k in (1, 2, 3):
             oracle = bfs_oracle(parsed, seeds, k)
-            got = tuple(retrieve_subgraph(built, seeds, k))
-            assert got == tuple(retrieve_subgraph(parsed, seeds, k))
-            assert got == tuple(t for t in parsed if t in oracle)
+            sub = retrieve_subgraph(built, seeds, k)
+            assert sub.ranks == retrieve_subgraph(parsed, seeds, k).ranks
+            assert tuple(sub) == tuple(t for t in parsed if t in oracle)
+            assert serialize_ntriples(sub) == serialize_ntriples(
+                retrieve_subgraph(parsed, seeds, k)
+            )
 
 
 # Objects whose rendering takes care: escapes, strings that look numeric

@@ -4,7 +4,9 @@ first malformed line as one ParseError."""
 
 from __future__ import annotations
 
+import gc
 import re
+import warnings
 
 import pytest
 
@@ -24,8 +26,13 @@ def test_readme_library_example_runs(monkeypatch):
     (block,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
     monkeypatch.chdir(REPO_ROOT)
     namespace: dict = {}
-    exec(compile(block, "README.md", "exec"), namespace)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        exec(compile(block, "README.md", "exec"), namespace)
+        # A file the example left open warns when it is collected.
+        gc.collect()
     assert namespace["decision"].verdict is Verdict.ANSWER
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_every_exported_name_resolves():
