@@ -9,7 +9,7 @@ Exit codes are a stable contract:
   1  graph does not conform
   2  input or configuration error
   3  the gate abstained (a successful outcome, distinct from errors)
-  4  generator (upstream) failure
+  4  generator (upstream) failure; for `eval`, any item failed
 """
 
 from __future__ import annotations
@@ -223,6 +223,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.output:
         write_result_log(records, args.output)
     print(render_report([(condition.value, metrics)]), end="")
+    failed = sum(record.failed for record in records)
+    if failed:
+        print(
+            f"{failed} of {len(records)} items failed (generator failure)",
+            file=sys.stderr,
+        )
+        return EXIT_GENERATOR_FAILURE
     return EXIT_OK
 
 

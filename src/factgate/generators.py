@@ -8,16 +8,19 @@ experiments are exactly reproducible.
 
 from __future__ import annotations
 
+import json
 import os
 import random
-import threading
 import time
+from _thread import TIMEOUT_MAX
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from http.client import HTTPException
 from typing import Callable, Sequence
-
-import requests
+from urllib.error import HTTPError, URLError
+from urllib.parse import urlsplit
+from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 from .extraction import (
     NUMBER_TOKEN_RE,
@@ -66,8 +69,12 @@ class GeneratorConfig:
     max_retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        url = urlsplit(self.endpoint_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint must be an http(s) URL: {self.endpoint_url!r}")
+        # A socket timeout past TIMEOUT_MAX overflows; nan fails the test too.
+        if not 0 < self.timeout <= TIMEOUT_MAX:
+            raise ValueError(f"timeout {self.timeout} is not in (0, {TIMEOUT_MAX:g}] s")
         if not 0 <= self.max_retries <= 5:
             raise ValueError("max_retries must be between 0 and 5")
 
@@ -154,24 +161,24 @@ def mock_generator(
     return generate
 
 
-class HttpGenerator:
-    """Chat-completion client with retries, backoff, and an in-flight cap.
+class _NoRedirect(HTTPRedirectHandler):
+    def redirect_request(self, *args: object) -> None:
+        return None  # a 3xx is an HTTPError: the key goes to no other URL
 
-    `transport` and `sleep` are injectable for tests; the defaults are
-    requests.post and time.sleep.
+
+class HttpGenerator:
+    """Chat-completion client with retries and backoff.
+
+    A call makes one request at a time, so the requests in flight are the
+    callers' threads (`eval --jobs`). `sleep` is injectable for tests.
     """
 
     def __init__(
-        self,
-        config: GeneratorConfig,
-        max_inflight: int = 4,
-        transport: Callable[..., "requests.Response"] | None = None,
-        sleep: Callable[[float], None] = time.sleep,
+        self, config: GeneratorConfig, sleep: Callable[[float], None] = time.sleep
     ):
         self.config = config
-        self._transport = transport or requests.post
         self._sleep = sleep
-        self._gate = threading.Semaphore(max_inflight)
+        self._open = build_opener(_NoRedirect).open
 
     def __call__(self, question: str, context: str) -> str:
         key = os.environ.get(self.config.api_key_env, "")
@@ -179,55 +186,54 @@ class HttpGenerator:
             raise AuthError(
                 f"environment variable {self.config.api_key_env} is not set"
             )
+        if not (key.isascii() and key.isprintable()):  # the error must not echo it
+            raise AuthError(
+                f"{self.config.api_key_env} holds a character not allowed in a header"
+            )
+        prompt = PROMPT_TEMPLATE.format(context=context, question=question)
         payload = {
             "model": self.config.model_name,
-            "messages": [
-                {
-                    "role": "user",
-                    "content": PROMPT_TEMPLATE.format(
-                        context=context, question=question
-                    ),
-                }
-            ],
+            "messages": [{"role": "user", "content": prompt}],
             "temperature": 0,
         }
-        headers = {"Authorization": f"Bearer {key}"}
+        headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+        data = json.dumps(payload).encode()
+        request = Request(self.config.endpoint_url, data, headers)
         last_error: GeneratorError | None = None
         for attempt in range(self.config.max_retries + 1):
             if attempt:
                 self._sleep(1.0 * 2 ** (attempt - 1))
             try:
-                with self._gate:
-                    response = self._transport(
-                        self.config.endpoint_url,
-                        json=payload,
-                        headers=headers,
-                        timeout=self.config.timeout,
+                try:
+                    response = self._open(request, timeout=self.config.timeout)
+                except HTTPError as exc:  # an error status is a response too
+                    response = exc
+                with response:
+                    status, body = response.status, response.read()
+            except (OSError, HTTPException) as exc:
+                reason = exc.reason if isinstance(exc, URLError) else exc
+                if isinstance(reason, TimeoutError):
+                    last_error = RequestTimeout(
+                        f"no response within {self.config.timeout}s"
                     )
-            except requests.Timeout:
-                last_error = RequestTimeout(
-                    f"no response within {self.config.timeout}s"
-                )
+                else:
+                    last_error = UpstreamError(0, str(exc))
                 continue
-            except requests.RequestException as exc:
-                last_error = UpstreamError(0, str(exc))
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected the key ({status})")
+            if status >= 500:
+                last_error = UpstreamError(status, body.decode(errors="replace"))
                 continue
-            if response.status_code in (401, 403):
-                raise AuthError(f"endpoint rejected the key ({response.status_code})")
-            if response.status_code >= 500:
-                last_error = UpstreamError(response.status_code, response.text)
-                continue
-            if response.status_code != 200:
-                raise UpstreamError(response.status_code, response.text)
+            if status != 200:
+                raise UpstreamError(status, body.decode(errors="replace"))
             try:
-                text = response.json()["choices"][0]["message"]["content"]
+                text = json.loads(body.decode())["choices"][0]["message"]["content"]
                 if not isinstance(text, str):
                     raise TypeError(f"content is {type(text).__name__}")
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise UpstreamError(
-                    response.status_code, f"malformed completion payload: {exc}"
+                    status, f"malformed completion payload: {exc}"
                 ) from exc
             return text.rstrip()
         assert last_error is not None
         raise last_error
-

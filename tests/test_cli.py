@@ -157,6 +157,50 @@ def test_ask_http_without_key_is_generator_failure(capsys, monkeypatch):
     assert "generator failure" in capsys.readouterr().err
 
 
+def http_ask_args(url, *flags):
+    return (
+        ["ask"] + rivers_rules_args()
+        + ["--generator", "http", "--endpoint", url, "--model", "m"]
+        + list(flags) + ["How long is the Colorado River?"]
+    )
+
+
+def test_ask_http_endpoint_must_be_an_http_url(capsys, monkeypatch, endpoint):
+    monkeypatch.setenv("FACTGATE_API_KEY", "sekrit")
+    for url in ("file:///etc/hostname", endpoint.url.removeprefix("http://")):
+        assert main(http_ask_args(url)) == 2
+        assert "endpoint must be an http(s) URL" in capsys.readouterr().err
+    assert endpoint.requests == []
+
+
+def test_ask_http_key_with_a_newline_is_not_printed(capsys, monkeypatch, endpoint):
+    monkeypatch.setenv("FACTGATE_API_KEY", "sekrit\nX-Leak: 1")
+    assert main(http_ask_args(endpoint.url)) == 4
+    err = capsys.readouterr().err
+    assert "generator failure" in err and "sekrit" not in err
+    assert endpoint.requests == []
+
+
+def test_unusable_timeouts_are_input_errors(tmp_path, capsys, monkeypatch, endpoint):
+    monkeypatch.setenv("FACTGATE_API_KEY", "sekrit")
+    http = ["--generator", "http", "--endpoint", endpoint.url, "--model", "m"]
+    config = tmp_path / "run.json"
+    for timeout in ("nan", "inf", "1e300"):
+        assert main(http_ask_args(endpoint.url, "--timeout", timeout)) == 2
+        code = main(eval_args("--condition", "oracle", "--timeout", timeout, *http))
+        assert code == 2
+        config.write_text(json.dumps({"timeout": float(timeout)}))
+        assert main(http_ask_args(endpoint.url, "--config", str(config))) == 2
+        config.write_text(json.dumps({"timeout": timeout}))
+        assert main(
+            eval_args("--condition", "oracle", "--config", str(config), *http)
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"error: timeout {float(timeout)} is not in (0, ") == 4
+        assert "Traceback" not in err
+    assert endpoint.requests == []
+
+
 def test_config_file_supplies_defaults_flags_override(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
@@ -382,6 +426,34 @@ def test_eval_jobs_flag_gives_identical_output(capsys):
     serial = capsys.readouterr().out
     assert main(args + ["--jobs", "4"]) == 0
     assert capsys.readouterr().out == serial
+
+
+def test_eval_with_failed_items_is_exit_4(tmp_path, capsys, monkeypatch):
+    # Every item fails (no API key), and the run and its re-score say so.
+    monkeypatch.delenv("FACTGATE_API_KEY", raising=False)
+    log = tmp_path / "log.jsonl"
+    code = main(eval_args(
+        "--condition", "oracle", "--generator", "http",
+        "--endpoint", "http://127.0.0.1:1/v1/chat", "--output", str(log),
+    ))
+    run = capsys.readouterr()
+    assert code == 4
+    assert run.out.splitlines()[1].split()[0] == "ORACLE"  # the table is printed
+    assert run.err == "24 of 24 items failed (generator failure)\n"
+    assert all(json.loads(line)["failed"] for line in log.read_text().splitlines())
+    # Re-scored, two items failed.
+    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    for row in lines[2:]:
+        row["failed"] = False
+    log.write_text("".join(json.dumps(row) + "\n" for row in lines))
+    copy = tmp_path / "copy.jsonl"
+    assert main(eval_args(
+        "--condition", "oracle", "--from-log", str(log), "--output", str(copy)
+    )) == 4
+    rescored = capsys.readouterr()
+    assert rescored.out == run.out
+    assert rescored.err == "2 of 24 items failed (generator failure)\n"
+    assert copy.read_text() == log.read_text()
 
 
 def test_eval_missing_dataset_is_exit_2(capsys):

@@ -1,5 +1,12 @@
 from __future__ import annotations
 
+import json
+import os
+import socket
+import subprocess
+import sys
+from _thread import TIMEOUT_MAX
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
 import pytest
@@ -13,12 +20,15 @@ from factgate.generators import (
     MockBehavior,
     MockMode,
     NO_CLAIM_TEXT,
+    PROMPT_TEMPLATE,
     RequestTimeout,
     UpstreamError,
     corrupt_number,
     mock_generator,
 )
 from factgate.kg import Iri, ParseError
+
+from conftest import FIXTURES, REPO_ROOT
 
 LENGTH_RULE = PredicateRule(
     "R_length", "SUBJ is OBJ km long", Iri("length"), "numeric", Decimal("1000")
@@ -135,125 +145,163 @@ def test_mock_generator_binding():
 
 
 # --- http client ----------------------------------------------------------------
+# Every case runs the real client against the loopback `endpoint` fixture.
 
 
-class StubResponse:
-    def __init__(self, status_code=200, text="", payload=None):
-        self.status_code = status_code
-        self.text = text
-        self._payload = payload
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+def completion(text) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": text}}]}).encode()
 
 
-def completion(text: str) -> StubResponse:
-    return StubResponse(payload={"choices": [{"message": {"content": text}}]})
-
-
-@pytest.fixture
-def config(monkeypatch):
-    monkeypatch.setenv("TEST_API_KEY", "sekrit")
+def http_config(url: str, timeout: float = 5.0) -> GeneratorConfig:
     return GeneratorConfig(
-        "https://example.test/v1/chat", "test-model", api_key_env="TEST_API_KEY",
-        timeout=5.0, max_retries=2,
+        url, "test-model", api_key_env="TEST_API_KEY", timeout=timeout, max_retries=2
     )
 
 
-def test_http_returns_completion_verbatim(config):
-    calls = []
+@pytest.fixture
+def config(monkeypatch, endpoint):
+    monkeypatch.setenv("TEST_API_KEY", "sekrit")
+    return http_config(endpoint.url)
 
-    def transport(url, json, headers, timeout):
-        calls.append((url, json, headers, timeout))
-        return completion("A canned completion.  \n")
 
-    out = HttpGenerator(config, transport=transport)("How long?", "ctx")
+def test_http_returns_completion_verbatim(config, endpoint):
+    endpoint.replies = [(200, completion("A canned completion.  \n"))]
+    out = HttpGenerator(config)("How long?", "ctx")
     assert out == "A canned completion."  # trailing whitespace only is trimmed
-    (url, payload, headers, timeout) = calls[0]
-    assert url == config.endpoint_url
+    ((path, headers, body),) = endpoint.requests
+    assert path == "/v1/chat"
+    assert headers["Authorization"] == "Bearer sekrit"
+    assert headers["Content-Type"] == "application/json"
+    payload = json.loads(body)
     assert payload["model"] == "test-model"
     assert payload["temperature"] == 0
-    assert "QUESTION:\nHow long?" in payload["messages"][0]["content"]
-    assert headers["Authorization"] == "Bearer sekrit"
+    assert payload["messages"] == [
+        {
+            "role": "user",
+            "content": PROMPT_TEMPLATE.format(context="ctx", question="How long?"),
+        }
+    ]
 
 
-def test_http_retries_then_raises_upstream_error(config):
-    attempts = []
+def test_http_retries_then_raises_upstream_error(config, endpoint):
+    endpoint.replies = [(500, b"boom")]
     sleeps = []
-
-    def transport(url, **kwargs):
-        attempts.append(url)
-        return StubResponse(status_code=500, text="boom")
-
     with pytest.raises(UpstreamError) as err:
-        HttpGenerator(config, transport=transport, sleep=sleeps.append)(
-            "q?", ""
-        )
-    assert err.value.status == 500
-    assert len(attempts) == 3  # initial call + 2 retries
+        HttpGenerator(config, sleep=sleeps.append)("q?", "")
+    assert (err.value.status, err.value.body) == (500, "boom")
+    assert len(endpoint.requests) == 3  # initial call + 2 retries
     assert sleeps == [1.0, 2.0]  # exponential backoff, base 1s
 
 
-def test_http_missing_key_fails_before_any_call(monkeypatch):
-    monkeypatch.delenv("NOPE_KEY", raising=False)
-    config = GeneratorConfig("https://x.test", "m", api_key_env="NOPE_KEY")
-    called = []
-
-    def transport(url, **kwargs):  # pragma: no cover - must not be reached
-        called.append(url)
-        return completion("hi")
-
+def test_http_missing_key_fails_before_any_call(monkeypatch, endpoint):
+    monkeypatch.delenv("TEST_API_KEY", raising=False)
     with pytest.raises(AuthError):
-        HttpGenerator(config, transport=transport)("q?", "")
-    assert called == []
+        HttpGenerator(http_config(endpoint.url))("q?", "")
+    assert endpoint.requests == []
 
 
-def test_http_rejected_key_is_auth_error(config):
-    def transport(url, **kwargs):
-        return StubResponse(status_code=401, text="bad key")
+def test_http_key_unfit_for_a_header_fails_before_any_call(monkeypatch, endpoint):
+    for key in ("sekrit\nX-Leak: 1", "sek\x1brit", "sekrit\r", "sekr\u20acit"):
+        monkeypatch.setenv("TEST_API_KEY", key)
+        with pytest.raises(AuthError) as err:
+            HttpGenerator(http_config(endpoint.url))("q?", "")
+        assert "sek" not in str(err.value)  # the key is not echoed
+    assert endpoint.requests == []
 
-    with pytest.raises(AuthError):
-        HttpGenerator(config, transport=transport)("q?", "")
+
+def test_http_rejected_key_is_auth_error(config, endpoint):
+    for status in (401, 403):
+        endpoint.requests.clear()
+        endpoint.replies = [(status, b"bad key")]
+        sleeps = []
+        with pytest.raises(AuthError, match=str(status)):
+            HttpGenerator(config, sleep=sleeps.append)("q?", "")
+        assert len(endpoint.requests) == 1 and sleeps == []  # no retry
 
 
-def test_http_timeout_after_retries(config):
-    import requests
+def test_http_other_status_raises_at_once(config, endpoint):
+    # No redirect is followed, so the key goes to no other URL: a 3xx is
+    # its own status.
+    for status in (404, 301, 302, 303, 307, 308):
+        endpoint.requests.clear()
+        endpoint.replies = [(status, b"no such model")]
+        sleeps = []
+        with pytest.raises(UpstreamError) as err:
+            HttpGenerator(config, sleep=sleeps.append)("q?", "")
+        assert err.value.status == status
+        assert [path for path, _, _ in endpoint.requests] == ["/v1/chat"]
+        assert sleeps == []
 
-    def transport(url, **kwargs):
-        raise requests.Timeout()
 
+def test_http_timeout_after_retries(monkeypatch, endpoint):
+    monkeypatch.setenv("TEST_API_KEY", "sekrit")
+    endpoint.delay = 2.0
+    sleeps = []
     with pytest.raises(RequestTimeout):
-        HttpGenerator(config, transport=transport, sleep=lambda _: None)(
+        HttpGenerator(http_config(endpoint.url, timeout=0.2), sleep=sleeps.append)(
             "q?", ""
         )
+    assert len(endpoint.requests) == 3
+    assert sleeps == [1.0, 2.0]
 
 
-def test_http_recovers_after_transient_failure(config):
-    responses = [StubResponse(status_code=503, text="busy"), completion("ok")]
+def test_http_connect_timeout_is_request_timeout(monkeypatch):
+    # A listener that never accepts, its queue filled: on Linux the next
+    # connect waits out the timeout, which urlopen wraps in a URLError.
+    monkeypatch.setenv("TEST_API_KEY", "sekrit")
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(0)
+        port = listener.getsockname()[1]
+        queued = [socket.socket() for _ in range(3)]
+        try:
+            for sock in queued:
+                sock.setblocking(False)
+                sock.connect_ex(("127.0.0.1", port))
+            config = http_config(f"http://127.0.0.1:{port}/v1", timeout=0.2)
+            with pytest.raises(RequestTimeout):
+                HttpGenerator(config, sleep=lambda _: None)("q?", "")
+        finally:
+            for sock in queued:
+                sock.close()
 
-    def transport(url, **kwargs):
-        return responses.pop(0)
 
-    gen = HttpGenerator(config, transport=transport, sleep=lambda _: None)
-    out = gen("q?", "")
-    assert out == "ok"
+def test_http_refused_connection_is_upstream_error(monkeypatch):
+    monkeypatch.setenv("TEST_API_KEY", "sekrit")
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    sleeps = []
+    with pytest.raises(UpstreamError) as err:
+        HttpGenerator(http_config(f"http://127.0.0.1:{port}/v1"), sleep=sleeps.append)(
+            "q?", ""
+        )
+    assert err.value.status == 0
+    assert sleeps == [1.0, 2.0]
 
 
-def test_http_malformed_payload_is_upstream_error(config):
-    payloads = [
-        {"nope": []},
-        {"choices": [{"message": {"content": None}}]},
-        {"choices": [{"message": {"content": ["a", "b"]}}]},
+def test_http_recovers_after_transient_failure(config, endpoint):
+    endpoint.replies = [(503, b"busy"), (200, completion("ok"))]
+    sleeps = []
+    assert HttpGenerator(config, sleep=sleeps.append)("q?", "") == "ok"
+    assert len(endpoint.requests) == 2 and sleeps == [1.0]
+
+
+def test_http_malformed_payload_is_upstream_error(config, endpoint):
+    bodies = [
+        json.dumps({"nope": []}).encode(),
+        completion(None),
+        completion(["a", "b"]),
+        b"not json",
+        completion("café").decode().encode("utf-16"),
+        b'{"choices": [{"message": {"content": "caf\xe9"}}]}',  # latin-1
     ]
-    for payload in payloads:
-
-        def transport(url, **kwargs):
-            return StubResponse(status_code=200, payload=payload)
-
-        with pytest.raises(UpstreamError):
-            HttpGenerator(config, transport=transport)("q?", "")
+    for body in bodies:
+        endpoint.replies = [(200, body)]
+        with pytest.raises(UpstreamError) as err:
+            HttpGenerator(config)("q?", "")
+        assert err.value.status == 200
+        assert err.value.body.startswith("malformed completion payload: ")
 
 
 def test_config_validation():
@@ -261,8 +309,64 @@ def test_config_validation():
         GeneratorConfig("https://x.test", "m", timeout=0)
     with pytest.raises(ValueError):
         GeneratorConfig("https://x.test", "m", max_retries=6)
+    # A socket cannot take a timeout past TIMEOUT_MAX; nan is no timeout.
+    for timeout in (float("nan"), float("inf"), 1e300, -1.0):
+        with pytest.raises(ValueError, match="timeout"):
+            GeneratorConfig("https://x.test", "m", timeout=timeout)
+    assert GeneratorConfig("https://x.test", "m", timeout=TIMEOUT_MAX)
 
 
-def test_http_generator_is_callable(config):
-    gen = HttpGenerator(config, transport=lambda url, **kw: completion("hello"))
-    assert gen("q?", "ctx") == "hello"
+def test_endpoint_must_be_http_with_a_host():
+    # urlopen would read a file:// URL; a schemeless one is not a URL.
+    rejected = [
+        "file:///etc/hostname", "localhost:8080/v1", "ftp://x.test/v1", "http:///v1"
+    ]
+    for url in rejected:
+        with pytest.raises(ValueError, match="endpoint"):
+            GeneratorConfig(url, "m")
+    for url in ("https://host/v1", "http://127.0.0.1:8080/v1/chat"):
+        assert GeneratorConfig(url, "m").endpoint_url == url
+
+
+def test_http_generator_is_callable(config, endpoint):
+    # One generator serves every `eval --jobs` worker.
+    endpoint.replies = [(200, completion("hello"))]
+    gen = HttpGenerator(config)
+    questions = [f"q{i}?" for i in range(8)]
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        assert list(pool.map(gen, questions, [""] * 8)) == ["hello"] * 8
+    sent = sorted(
+        json.loads(body)["messages"][0]["content"] for *_, body in endpoint.requests
+    )
+    assert sent == [PROMPT_TEMPLATE.format(context="", question=q) for q in questions]
+
+
+def test_cli_runs_without_requests():
+    """The package needs no third-party module: a mock `ask` runs with
+    `requests` made unimportable."""
+    rivers = FIXTURES / "rivers"
+    script = (
+        "import sys\n"
+        "sys.modules['requests'] = None\n"
+        "from factgate.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", script, "ask",
+            "--graph", str(rivers / "graph.nt"),
+            "--constraints", str(rivers / "constraints.txt"),
+            "--rules", str(rivers / "rules.txt"),
+            "--max-hops", "1",
+            "How long is the Colorado River?",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "ANSWER"
