@@ -25,6 +25,7 @@ from .constraints import ConstraintSet, parse_manifest, validate_graph
 from .evaluation import (
     Condition,
     DuplicateId,
+    ResultRecord,
     UnknownItem,
     compute_metrics,
     load_dataset,
@@ -65,7 +66,6 @@ class RunConfig:
     constraints: ConstraintSet
     rules: list[PredicateRule]
     lexicon: Lexicon
-    abstain_on_no_claims: bool
 
 
 def _read_text(path: str, what: str) -> str:
@@ -94,7 +94,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         ),
         rules=_load(parse_rules, args.rules, "rule file", "rules"),
         lexicon=lexicon,
-        abstain_on_no_claims=(args.no_claims == "abstain"),
     )
 
 
@@ -160,13 +159,19 @@ def cmd_ask(args: argparse.Namespace) -> int:
             config.lexicon,
             config.rules,
             max_hops=args.max_hops,
-            abstain_on_no_claims=config.abstain_on_no_claims,
         )
     except GeneratorError as exc:
         print(f"generator failure: {exc}", file=sys.stderr)
         return EXIT_GENERATOR_FAILURE
     print(decision_to_json(args.question, decision))
     return EXIT_OK if decision.verdict is Verdict.ANSWER else EXIT_ABSTAINED
+
+
+def _write_log(records: list[ResultRecord], path: str) -> None:
+    try:
+        write_result_log(records, path)
+    except OSError as exc:
+        raise CliError(f"cannot write result log {path!r}: {exc}") from exc
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -177,6 +182,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CliError(f"cannot read dataset {args.dataset!r}: {exc}") from exc
     except (ParseError, DuplicateId) as exc:
         raise CliError(f"dataset {args.dataset!r}: {exc}") from exc
+    # The metrics split items by their entailed flag, so it must hold.
+    for item in dataset:
+        if item.gold_triple and config.graph.contains(item.gold_triple) != item.entailed:
+            raise CliError(
+                f"dataset {args.dataset!r}: item {item.id!r} is marked "
+                f"{'' if item.entailed else 'not '}entailed, but the graph "
+                f"{'lacks' if item.entailed else 'holds'} its gold_triple"
+            )
     condition = Condition(args.condition.upper())
     if args.from_log:
         try:
@@ -196,6 +209,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             factory = lambda item: http
         else:
             factory = mock_factory(_mock_behavior(args), rules=config.rules)
+        if args.output:
+            _write_log([], args.output)  # unwritable: fail before any item runs
         records = run_condition(
             condition,
             dataset,
@@ -206,7 +221,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             config.rules,
             max_hops=args.max_hops,
             jobs=args.jobs,
-            abstain_on_no_claims=config.abstain_on_no_claims,
         )
     try:
         metrics = compute_metrics(dataset, records)
@@ -221,7 +235,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"{len(dataset)} dataset items; first missing {missing!r}"
         )
     if args.output:
-        write_result_log(records, args.output)
+        _write_log(records, args.output)
     print(render_report([(condition.value, metrics)]), end="")
     failed = sum(record.failed for record in records)
     if failed:
@@ -271,12 +285,6 @@ def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
             default=3,
             help="retrieval depth (default: 3); a reached class or node of "
             f"more than {HUB_DEGREE} triples is not expanded",
-        )
-        parser.add_argument(
-            "--no-claims",
-            choices=("abstain", "answer"),
-            default="abstain",
-            help="policy when a response contains no extractable claims",
         )
         parser.add_argument("--generator", choices=("mock", "http"), default="mock")
         parser.add_argument(

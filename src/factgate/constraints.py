@@ -42,7 +42,7 @@ from .kg import (
 class Violation:
     constraint_id: str
     focus: Iri
-    triple: Triple | None
+    triple: Triple
     message: str
 
 
@@ -54,7 +54,7 @@ class ValidationReport:
 
 def _violation_order(v: Violation) -> tuple:
     """Order within one constraint's violations: focus, message, triple."""
-    return (v.focus.value, v.message, triple_sort_key(v.triple) if v.triple else ())
+    return (v.focus.value, v.message, triple_sort_key(v.triple))
 
 
 class _GraphPlusClaim:
@@ -336,16 +336,7 @@ Constraint = (
     | IntervalOverlap
 )
 
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    constraints: tuple[Constraint, ...]
-
-    def __iter__(self):
-        return iter(self.constraints)
-
-    def __len__(self) -> int:
-        return len(self.constraints)
+ConstraintSet = tuple[Constraint, ...]
 
 
 # Each manifest kind's class. A line's parameters are the class's fields
@@ -385,7 +376,7 @@ def parse_manifest(text: str) -> ConstraintSet:
         if kv:
             raise ParseError(number, f"unexpected parameters: {sorted(kv)}")
         constraints.append(cls(*(params[f.name] for f in fields(cls))))
-    return ConstraintSet(tuple(constraints))
+    return tuple(constraints)
 
 
 def validate_graph(graph: Graph, constraints: ConstraintSet) -> ValidationReport:

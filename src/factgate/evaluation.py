@@ -30,9 +30,9 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from .constraints import ConstraintSet
 from .extraction import NUMBER_TOKEN_RE, Lexicon, PredicateRule
-from .gate import AbstainReason, Verdict, build_context, run_pipeline
+from .gate import Verdict, build_context, run_pipeline
 from .generators import GeneratorError, GeneratorFn, MockBehavior, mock_generator
-from .kg import Graph, ParseError, Triple, parse_ntriples_line
+from .kg import Graph, ParseError, Triple, parse_ntriples_line, split_lines
 
 T = TypeVar("T")
 
@@ -144,6 +144,15 @@ def _optional_flag(payload: dict, key: str, line: int) -> bool | None:
     return value
 
 
+def _string(payload: dict, key: str, line: int) -> str:
+    """A string field that is not blank: an empty gold answer, say, would
+    grade every response correct."""
+    value = payload[key]
+    if not isinstance(value, str) or not value.strip():
+        raise ParseError(line, f"{key!r} must be a non-blank string, got {value!r}")
+    return value
+
+
 def _parse_item(payload: dict, line: int) -> QAItem:
     if not isinstance(payload, dict):
         raise ParseError(line, "expected a JSON object")
@@ -153,14 +162,14 @@ def _parse_item(payload: dict, line: int) -> QAItem:
     gold_triple = None
     if payload.get("gold_triple") is not None:
         try:
-            gold_triple = parse_ntriples_line(payload["gold_triple"])
+            gold_triple = parse_ntriples_line(_string(payload, "gold_triple", line))
         except ValueError as exc:
             raise ParseError(line, f"bad gold_triple: {exc}") from exc
     try:
         return QAItem(
-            id=str(payload["id"]),
-            question=str(payload["question"]),
-            gold_answer=str(payload["gold_answer"]),
+            id=_string(payload, "id", line),
+            question=_string(payload, "question", line),
+            gold_answer=_string(payload, "gold_answer", line),
             entailed=_flag(payload, "entailed", line),
             gold_triple=gold_triple,
             violates_constraints=_flag(payload, "violates_constraints", line),
@@ -177,7 +186,7 @@ def _read_jsonl(
     values: list[T] = []
     seen: set[str] = set()
     text = Path(path).read_text(encoding="utf-8")
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -291,7 +300,6 @@ def run_condition(
     rules: Sequence[PredicateRule],
     max_hops: int = 3,
     jobs: int = 1,
-    abstain_on_no_claims: bool = True,
 ) -> list[ResultRecord]:
     """Run one experiment condition over the dataset.
 
@@ -333,7 +341,7 @@ def run_condition(
     def _run_oracle_item(item: QAItem, gen: GeneratorFn) -> ResultRecord:
         decision = run_pipeline(
             item.question, graph, constraints, gen, lexicon, rules,
-            max_hops=max_hops, abstain_on_no_claims=abstain_on_no_claims,
+            max_hops=max_hops,
         )
         if decision.verdict is Verdict.ANSWER:
             return ResultRecord(
@@ -347,10 +355,7 @@ def run_condition(
         appropriate = (not audits) or any(
             (not a.entailed) or a.violations for a in audits
         )
-        cited_violation = (
-            decision.abstain_reason is AbstainReason.CONSTRAINT_VIOLATION
-            or any(a.violations for a in audits)
-        )
+        cited_violation = any(a.violations for a in audits)
         return ResultRecord(
             item_id=item.id,
             responded=Responded.ABSTAINED,

@@ -73,18 +73,15 @@ def audit_claim(
 
 
 def decide(
-    audits: Sequence[AuditRecord], abstain_on_no_claims: bool = True
+    audits: Sequence[AuditRecord],
 ) -> tuple[Verdict, AbstainReason | None]:
     """Licensing decision over a set of audits.
 
     Missing evidence outranks constraint violations. An empty audit list
-    abstains under the default strict policy; with the policy disabled,
-    unverifiable text passes through unchecked.
+    abstains: a response with no claim to check is never emitted.
     """
     if not audits:
-        if abstain_on_no_claims:
-            return Verdict.ABSTAIN, AbstainReason.NO_CLAIMS_POLICY
-        return Verdict.ANSWER, None
+        return Verdict.ABSTAIN, AbstainReason.NO_CLAIMS_POLICY
     if any(not a.entailed for a in audits):
         return Verdict.ABSTAIN, AbstainReason.NO_EVIDENCE
     if any(a.violations for a in audits):
@@ -110,7 +107,6 @@ def run_pipeline(
     lexicon: Lexicon,
     rules: Sequence[PredicateRule],
     max_hops: int = 3,
-    abstain_on_no_claims: bool = True,
 ) -> LicensingDecision:
     """Full gate run for one question.
 
@@ -122,7 +118,7 @@ def run_pipeline(
     response = generator(question, build_context(question, graph, lexicon, max_hops))
     claims = extract_claims(response, lexicon, rules)
     audits = tuple(audit_claim(graph, constraints, c) for c in claims)
-    verdict, reason = decide(audits, abstain_on_no_claims)
+    verdict, reason = decide(audits)
     return LicensingDecision(
         verdict=verdict,
         response_text=response if verdict is Verdict.ANSWER else ABSTENTION_TEXT,

@@ -28,7 +28,7 @@ from .extraction import (
     rule_for_triple,
     verbalize_triple,
 )
-from .kg import decimal_lexical, iter_ntriples
+from .kg import ParseError, content_lines, decimal_lexical, parse_ntriples_line
 
 GeneratorFn = Callable[[str, str], str]
 
@@ -120,7 +120,11 @@ def corrupt_number(text: str) -> str:
 
 
 def _echo_context(context: str, rules: Sequence[PredicateRule]) -> str:
-    for triple in iter_ntriples(context):
+    for number, line in content_lines(context):
+        try:
+            triple = parse_ntriples_line(line)
+        except ValueError as exc:
+            raise ParseError(number, str(exc)) from exc
         rule = rule_for_triple(triple, rules)
         if rule is not None:
             return verbalize_triple(triple, rule)

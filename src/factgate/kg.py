@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from itertools import chain, filterfalse
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -207,11 +207,11 @@ class _TermTable:
         self.texts: dict[str, str] = {}
         self.objects: dict[str, Term] = {}
 
-    def read(self, source: str | IO[str]) -> Iterator[tuple[str, str, str]]:
+    def read(self, text: str) -> Iterator[tuple[str, str, str]]:
         """(subject, predicate, object text) of each content line, in text
         order; a malformed line raises a ParseError when it is reached."""
         iri, texts = self.iris.__getitem__, self.texts
-        for number, line in content_lines(source):
+        for number, line in content_lines(text):
             m = _LINE_RE.match(line)
             try:
                 if m is None:
@@ -232,33 +232,26 @@ class _TermTable:
         return text
 
 
-def content_lines(source: str | IO[str]) -> Iterator[tuple[int, str]]:
+def split_lines(text: str) -> list[str]:
+    """The lines of a line-oriented input. A line ends only at a line feed,
+    a carriage return or the two together, never at U+2028 or the other
+    characters str.splitlines() also breaks at, which a literal or a JSON
+    string may hold raw."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) for each line of a line-oriented input
     that is neither blank nor a `#` comment."""
-    lines = source.splitlines() if isinstance(source, str) else source
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(split_lines(text), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield number, stripped
 
 
-def iter_ntriples(source: str | IO[str]) -> Iterator[Triple]:
-    """Yield the triples of N-Triples text in text order, lazily.
-
-    Blank lines and `#` comment lines are skipped. A malformed line raises
-    a ParseError carrying its line number when it is reached. Terms are
-    interned for the parse: every occurrence of one IRI string yields the
-    same `Iri` object, and every occurrence of one object token (or of
-    another spelling of the same literal) the same term object, parsed and
-    validated once.
-    """
-    table = _TermTable()
-    iris, objects = table.iris, table.objects
-    for s, p, o in table.read(source):
-        yield Triple(iris[s], iris[p], objects[o])
-
-
-def parse_ntriples(source: str | IO[str]) -> "Graph":
+def parse_ntriples(text: str) -> "Graph":
     """Parse N-Triples text into a Graph.
 
     Duplicate triples are deduplicated. Any malformed line aborts the
@@ -268,7 +261,7 @@ def parse_ntriples(source: str | IO[str]) -> "Graph":
     """
     table = _TermTable()
     graph = Graph.__new__(Graph)
-    graph._index(table.read(source), table.iris, table.objects)
+    graph._index(table.read(text), table.iris, table.objects)
     return graph
 
 

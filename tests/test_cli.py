@@ -135,6 +135,15 @@ def test_ask_unknown_topic_abstains_with_empty_claims(capsys):
     assert record["claims"] == []
 
 
+def test_no_claims_pass_through_is_gone(tmp_path, capsys):
+    # A claimless response always abstains: no flag or setting lets it pass.
+    question = ["What is the capital of France?"]
+    assert main(["ask"] + rivers_rules_args() + ["--no-claims", "answer"] + question) == 2
+    assert ask_with_config(tmp_path, {"no_claims": "answer"}) == 2
+    err = capsys.readouterr().err
+    assert "--no-claims" in err and "unknown setting 'no_claims'" in err
+
+
 def test_ask_fixed_mock_without_answer_is_input_error(capsys):
     code = main(
         ["ask"] + rivers_rules_args() + ["--mock-mode", "fixed", "question?"]
@@ -246,8 +255,8 @@ def ask_with_config(tmp_path, settings, *flags):
 
 
 def test_config_values_pass_the_flags_checks(tmp_path, capsys):
-    # A misspelt choice must not silently switch the no-claims policy.
-    assert ask_with_config(tmp_path, {"no_claims": "abstian"}) == 2
+    # A misspelt choice must not silently switch the mock.
+    assert ask_with_config(tmp_path, {"mock_mode": "ecko"}) == 2
     assert ask_with_config(tmp_path, {"max_hops": 2.5}) == 2
     assert ask_with_config(tmp_path, {"max_hops": None}) == 2
     assert ask_with_config(tmp_path, {"label_predicate": [["label"]]}) == 2
@@ -257,7 +266,7 @@ def test_config_values_pass_the_flags_checks(tmp_path, capsys):
     assert main(eval_args("--condition", "baseline", "--config", str(config))) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "no_claims" in err and "max_hops" in err and "jobs" in err
+    assert "mock_mode" in err and "max_hops" in err and "jobs" in err
     assert "must be at least 1, got 0" in err and "must be at least 1, got -3" in err
 
 
@@ -454,6 +463,79 @@ def test_eval_with_failed_items_is_exit_4(tmp_path, capsys, monkeypatch):
     assert rescored.out == run.out
     assert rescored.err == "2 of 24 items failed (generator failure)\n"
     assert copy.read_text() == log.read_text()
+
+
+def test_eval_unwritable_output_fails_before_any_item(
+    tmp_path, capsys, monkeypatch, endpoint
+):
+    monkeypatch.setenv("FACTGATE_API_KEY", "sekrit")
+    missing = tmp_path / "nonexistent" / "run.jsonl"
+    code = main(eval_args(
+        "--condition", "oracle", "--generator", "http", "--endpoint", endpoint.url,
+        "--model", "m", "--output", str(missing),
+    ))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"cannot write result log {str(missing)!r}" in captured.err
+    assert endpoint.requests == []
+    # A log re-scored into itself is read before the output is opened.
+    log = tmp_path / "log.jsonl"
+    assert main(eval_args("--condition", "oracle", "--output", str(log))) == 0
+    first, logged = capsys.readouterr().out, log.read_text()
+    assert main(eval_args(
+        "--condition", "oracle", "--from-log", str(log), "--output", str(log)
+    )) == 0
+    assert capsys.readouterr().out == first
+    assert log.read_text() == logged
+
+
+def dataset_of(tmp_path, *edits):
+    """The rivers dataset, with `(line index, field, value)` edits."""
+    rows = [json.loads(line) for line in (RIVERS / "qa.jsonl").read_text().splitlines()]
+    for index, field, value in edits:
+        rows[index][field] = value
+    path = tmp_path / "qa.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return path
+
+
+def test_eval_blank_gold_answer_is_exit_2(tmp_path, capsys):
+    # Read as "" or "None", a gold answer graded every response correct.
+    for value in ("", None):
+        dataset = dataset_of(tmp_path, (3, "gold_answer", value))
+        code = main(
+            ["eval"] + rivers_rules_args()
+            + ["--dataset", str(dataset), "--condition", "baseline"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 4: 'gold_answer' must be a non-blank string" in err
+
+
+def test_eval_entailed_flag_must_match_the_graph(tmp_path, capsys):
+    rows = [json.loads(line) for line in (RIVERS / "qa.jsonl").read_text().splitlines()]
+    held = next(i for i, row in enumerate(rows) if row["entailed"])
+    absent = next(
+        i for i, row in enumerate(rows) if row.get("gold_triple") and not row["entailed"]
+    )
+    log = tmp_path / "log.jsonl"
+    assert main(eval_args("--condition", "oracle", "--output", str(log))) == 0
+    capsys.readouterr()
+    for index, edits, says in (
+        (held, [("entailed", False)], "is marked not entailed, but the graph holds"),
+        (
+            absent,
+            [("entailed", True), ("violates_constraints", False)],
+            "is marked entailed, but the graph lacks",
+        ),
+    ):
+        dataset = dataset_of(tmp_path, *((index, *edit) for edit in edits))
+        base = ["eval"] + rivers_rules_args() + ["--dataset", str(dataset)]
+        for extra in ([], ["--from-log", str(log)]):
+            assert main(base + ["--condition", "oracle"] + extra) == 2
+            err = capsys.readouterr().err
+            assert f"item {rows[index]['id']!r} {says} its gold_triple" in err
 
 
 def test_eval_missing_dataset_is_exit_2(capsys):

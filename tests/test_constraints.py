@@ -57,7 +57,7 @@ def test_parse_manifest_less_than_property_line():
         "greater=<sourceElevation>"
     )
     assert len(cs) == 1
-    c = cs.constraints[0]
+    c = cs[0]
     assert c.id == "C6"
     assert c.lesser == Iri("mouthElevation")
     assert c.greater == Iri("sourceElevation")

@@ -118,6 +118,46 @@ def test_dataset_flags_accept_only_json_booleans(tmp_path, field, value):
     assert repr(field) in str(err.value)
 
 
+@pytest.mark.parametrize("field, value", [
+    (field, value)
+    for field in ("id", "question", "gold_answer", "gold_triple")
+    for value in ('""', '"  "', "null", "7", '["x"]')
+    if (field, value) != ("gold_triple", "null")  # a null gold_triple is none
+])
+def test_dataset_text_fields_must_be_non_blank_strings(tmp_path, field, value):
+    # Coerced, "" or null (read as "None") graded every response correct.
+    path = tmp_path / "d.jsonl"
+    row = {"id": "a", "question": "q?", "gold_answer": "x", "entailed": False}
+    path.write_text(
+        '{"id": "z", "question": "q?", "gold_answer": "x", "entailed": false}\n'
+        + json.dumps(row)[:-1] + f', "{field}": {value}}}\n'
+    )
+    with pytest.raises(ParseError) as err:
+        load_dataset(path)
+    assert err.value.line == 2
+    assert f"{field!r} must be a non-blank string" in str(err.value)
+
+
+def test_dataset_lines_end_only_at_newlines(tmp_path):
+    # A JSON string may hold U+2028, U+2029 and U+0085 raw, which
+    # str.splitlines() breaks at; only \n, \r\n and \r end a line.
+    odd = "\u2028\u2029\x85"
+    rows = [
+        {"id": f"a{odd}", "question": f"q{odd}?", "gold_answer": "x", "entailed": False},
+        {"id": "b", "question": "r?", "gold_answer": "y", "entailed": False},
+    ]
+    path = tmp_path / "d.jsonl"
+    text = "\r\n".join(json.dumps(row, ensure_ascii=False) for row in rows)
+    path.write_bytes(f"{text}\r{{\n".encode())
+    with pytest.raises(ParseError) as err:
+        load_dataset(path)
+    assert err.value.line == 3
+    path.write_bytes(text.encode())
+    items = load_dataset(path)
+    assert [item.id for item in items] == [f"a{odd}", "b"]
+    assert items[0].question == f"q{odd}?"
+
+
 def test_non_object_lines_are_dataset_errors(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("5\n")

@@ -155,7 +155,6 @@ def test_no_evidence_outranks_violation():
 
 def test_empty_audits_policy():
     assert decide([]) == (Verdict.ABSTAIN, AbstainReason.NO_CLAIMS_POLICY)
-    assert decide([], abstain_on_no_claims=False) == (Verdict.ANSWER, None)
 
 
 # --- run_pipeline ------------------------------------------------------------------
@@ -201,19 +200,6 @@ def test_chitchat_abstains_under_strict_policy(setting):
     assert decision.audits == ()
     assert decision.verdict is Verdict.ABSTAIN
     assert decision.abstain_reason is AbstainReason.NO_CLAIMS_POLICY
-
-
-def test_chitchat_passes_with_policy_disabled(setting):
-    graph, constraints, rules, lexicon = setting
-    generator = mock_generator(
-        MockBehavior(MockMode.FIXED_ANSWER), answer_key="Lovely weather, isn't it?"
-    )
-    decision = run_pipeline(
-        "How long is the Colorado River?", graph, constraints, generator,
-        lexicon, rules, abstain_on_no_claims=False,
-    )
-    assert decision.verdict is Verdict.ANSWER
-    assert decision.response_text == "Lovely weather, isn't it?"
 
 
 def test_audits_run_against_full_graph_not_subgraph(setting):
