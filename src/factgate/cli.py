@@ -15,10 +15,8 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
 from .constraints import ConstraintSet, parse_manifest, validate_graph
@@ -45,7 +43,7 @@ from .generators import (
     MockMode,
     mock_generator,
 )
-from .kg import HUB_DEGREE, Graph, Iri, ParseError, parse_ntriples
+from .kg import HUB_DEGREE, Graph, Iri, ParseError, parse_ntriples, read_utf8
 
 T = TypeVar("T")
 
@@ -68,25 +66,21 @@ class RunConfig:
     lexicon: Lexicon
 
 
-def _read_text(path: str, what: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {what} {path!r}: {exc}") from exc
-
-
 def _load(parse: Callable[[str], T], path: str, what: str, label: str) -> T:
     """`parse` over the text of the `what` file at `path`; a malformed line
-    is an input error prefixed with `label`."""
+    or a byte that is not UTF-8 is an input error prefixed with `label`."""
     try:
-        return parse(_read_text(path, what))
+        return parse(read_utf8(path))
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path!r}: {exc}") from exc
     except ParseError as exc:
         raise CliError(f"{label} {path!r}: {exc}") from exc
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     graph = _load(parse_ntriples, args.graph, "graph", "graph")
-    lexicon = build_lexicon(graph, [Iri(p) for p in args.label_predicate])
+    labels = args.label_predicate or ["label"]
+    lexicon = build_lexicon(graph, [Iri(p) for p in labels])
     return RunConfig(
         graph=graph,
         constraints=_load(
@@ -250,17 +244,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # --- argument plumbing ----------------------------------------------------------
 
 
-class _Repeatable(argparse.Action):
-    """Like action="append", except that the first flag replaces the default
-    list instead of extending it, so flags beat a config-file list."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, self.dest)
-        if items is self.default:
-            items = []
-        setattr(namespace, self.dest, [*items, values])
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -275,8 +258,8 @@ def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
         parser.add_argument("--rules", required=True, help="predicate rule file")
         parser.add_argument(
             "--label-predicate",
-            action=_Repeatable,
-            default=["label"],
+            action="append",
+            default=None,
             help="label predicate IRI for the lexicon (repeatable; default: label)",
         )
         parser.add_argument(
@@ -301,41 +284,6 @@ def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
         parser.add_argument("--retries", type=int, default=2)
 
 
-def _flag_value(action: argparse.Action, value: object) -> object:
-    """A config value read exactly as the same text after its flag would be."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise TypeError(f"expected a string or a number, got {value!r}")
-    converted = action.type(str(value)) if action.type else str(value)
-    if action.choices is not None and converted not in action.choices:
-        raise ValueError(f"{value!r} is not one of {sorted(action.choices)}")
-    return converted
-
-
-def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
-    """The settings of a JSON config file, each checked as its flag's value,
-    to become the parser's defaults: flags beat the file, which beats those."""
-    try:
-        values = json.loads(_read_text(path, "config file"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config {path!r}: bad JSON: {exc}") from exc
-    if not isinstance(values, dict):
-        raise CliError(f"config {path!r}: expected a JSON object")
-    flags = {a.dest: a for a in parser._actions if a.option_strings}
-    defaults = {}
-    for key, value in values.items():
-        action = flags.get(key.replace("-", "_"))
-        if action is None or action.dest in ("help", "config"):
-            raise CliError(f"config {path!r}: unknown setting {key!r}")
-        repeated = isinstance(action, _Repeatable)
-        items = value if repeated and isinstance(value, list) else [value]
-        try:
-            checked = [_flag_value(action, v) for v in items]
-        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-            raise CliError(f"config {path!r}: bad {key!r}: {exc}") from exc
-        defaults[action.dest] = checked if repeated else checked[0]
-    return defaults
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factgate",
@@ -352,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ask = sub.add_parser("ask", help="gate a single question")
     _add_common(p_ask, rules=True)
-    p_ask.add_argument("--config", default=None, help="JSON config file")
     p_ask.add_argument("question")
     p_ask.set_defaults(func=cmd_ask)
 
@@ -360,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         "eval", help="run an experiment condition over a QA dataset"
     )
     _add_common(p_eval, rules=True)
-    p_eval.add_argument("--config", default=None, help="JSON config file")
     p_eval.add_argument("--dataset", required=True, help="QA JSONL file")
     p_eval.add_argument(
         "--condition",
@@ -383,13 +329,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     try:
-        if getattr(args, "config", None):
-            (commands,) = [
-                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-            ]
-            command = commands.choices[args.command]
-            command.set_defaults(**_config_defaults(command, args.config))
-            args = parser.parse_args(argv)
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

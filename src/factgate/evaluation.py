@@ -32,7 +32,7 @@ from .constraints import ConstraintSet
 from .extraction import NUMBER_TOKEN_RE, Lexicon, PredicateRule
 from .gate import Verdict, build_context, run_pipeline
 from .generators import GeneratorError, GeneratorFn, MockBehavior, mock_generator
-from .kg import Graph, ParseError, Triple, parse_ntriples_line, split_lines
+from .kg import Graph, ParseError, Triple, parse_ntriples_line, read_utf8, split_lines
 
 T = TypeVar("T")
 
@@ -185,8 +185,7 @@ def _read_jsonl(
     `key` of each parsed value must be unique."""
     values: list[T] = []
     seen: set[str] = set()
-    text = Path(path).read_text(encoding="utf-8")
-    for number, raw in enumerate(split_lines(text), start=1):
+    for number, raw in enumerate(split_lines(read_utf8(path)), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -225,7 +224,7 @@ def record_from_dict(payload: dict, line: int = 0) -> ResultRecord:
         raise ParseError(line, "expected a JSON object")
     try:
         return ResultRecord(
-            item_id=str(payload["item_id"]),
+            item_id=_string(payload, "item_id", line),
             responded=Responded(payload["responded"]),
             correct=_optional_flag(payload, "correct", line),
             licensed=_flag(payload, "licensed", line),

@@ -73,6 +73,8 @@ class PredicateRule:
             raise ValueError("object_kind must be numeric or entity")
         if (self.unit_scale is not None) != (self.object_kind == "numeric"):
             raise ValueError("unit_scale is required iff object_kind is numeric")
+        if self.unit_scale is not None and self.unit_scale <= 0:
+            raise ValueError(f"scale must be above 0, got {self.unit_scale}")
 
     @cached_property
     def _segments(self) -> tuple[tuple[re.Pattern[str], ...], tuple[str, ...]]:

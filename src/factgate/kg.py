@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from itertools import chain, filterfalse
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -240,6 +241,19 @@ def split_lines(text: str) -> list[str]:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.split("\n")
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of an input file; a byte that is not UTF-8 is a ParseError
+    at its line, counted as split_lines counts."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(split_lines(data[: exc.start].decode("utf-8")))
+        raise ParseError(
+            line, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from exc
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:

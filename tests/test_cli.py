@@ -80,6 +80,30 @@ def test_unparseable_graph_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_input_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys):
+    # Lines end in \r\n and \r; line 3 holds a byte that no UTF-8 text has.
+    graph = tmp_path / "graph.nt"
+    graph.write_bytes(
+        (RIVERS / "graph.nt").read_bytes().splitlines()[0]
+        + b'\r\n<a> <label> "A" .\r<a> <label> "\xff" .\n'
+    )
+    code = main([
+        "validate", "--graph", str(graph),
+        "--constraints", str(RIVERS / "constraints.txt"),
+    ])
+    assert code == 2
+    assert f"graph {str(graph)!r}: line 3: byte 0xff" in capsys.readouterr().err
+    dataset = tmp_path / "qa.jsonl"
+    lines = (RIVERS / "qa.jsonl").read_bytes().splitlines()
+    dataset.write_bytes(b"\r\n".join(lines[:2]) + b"\r" + b"\xff" + lines[2])
+    code = main(
+        ["eval"] + rivers_rules_args()
+        + ["--dataset", str(dataset), "--condition", "baseline"]
+    )
+    assert code == 2
+    assert f"dataset {str(dataset)!r}: line 3: byte 0xff" in capsys.readouterr().err
+
+
 def test_rule_file_with_repeated_key_is_exit_2(tmp_path, capsys):
     rules = tmp_path / "rules.txt"
     rules.write_text(
@@ -135,13 +159,11 @@ def test_ask_unknown_topic_abstains_with_empty_claims(capsys):
     assert record["claims"] == []
 
 
-def test_no_claims_pass_through_is_gone(tmp_path, capsys):
-    # A claimless response always abstains: no flag or setting lets it pass.
+def test_no_claims_pass_through_is_gone(capsys):
+    # A claimless response always abstains: no flag lets it pass.
     question = ["What is the capital of France?"]
     assert main(["ask"] + rivers_rules_args() + ["--no-claims", "answer"] + question) == 2
-    assert ask_with_config(tmp_path, {"no_claims": "answer"}) == 2
-    err = capsys.readouterr().err
-    assert "--no-claims" in err and "unknown setting 'no_claims'" in err
+    assert "--no-claims" in capsys.readouterr().err
 
 
 def test_ask_fixed_mock_without_answer_is_input_error(capsys):
@@ -190,105 +212,43 @@ def test_ask_http_key_with_a_newline_is_not_printed(capsys, monkeypatch, endpoin
     assert endpoint.requests == []
 
 
-def test_unusable_timeouts_are_input_errors(tmp_path, capsys, monkeypatch, endpoint):
+def test_unusable_timeouts_are_input_errors(capsys, monkeypatch, endpoint):
     monkeypatch.setenv("FACTGATE_API_KEY", "sekrit")
     http = ["--generator", "http", "--endpoint", endpoint.url, "--model", "m"]
-    config = tmp_path / "run.json"
     for timeout in ("nan", "inf", "1e300"):
         assert main(http_ask_args(endpoint.url, "--timeout", timeout)) == 2
         code = main(eval_args("--condition", "oracle", "--timeout", timeout, *http))
         assert code == 2
-        config.write_text(json.dumps({"timeout": float(timeout)}))
-        assert main(http_ask_args(endpoint.url, "--config", str(config))) == 2
-        config.write_text(json.dumps({"timeout": timeout}))
-        assert main(
-            eval_args("--condition", "oracle", "--config", str(config), *http)
-        ) == 2
         err = capsys.readouterr().err
-        assert err.count(f"error: timeout {float(timeout)} is not in (0, ") == 4
+        assert err.count(f"error: timeout {float(timeout)} is not in (0, ") == 2
         assert "Traceback" not in err
     assert endpoint.requests == []
 
 
-def test_config_file_supplies_defaults_flags_override(tmp_path, capsys):
+def test_config_flag_is_gone(tmp_path, capsys):
+    # Flags are the only configuration: a JSON config file is not read.
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({
-        "mock-mode": "fixed",
-        "answer": "Colorado River is 9999 km long.",
-        "max-hops": 2,
-    }))
-    # Config alone: the fabricated answer abstains.
+    config.write_text('{"max_hops": 1}')
     assert main(
         ["ask"] + rivers_rules_args()
         + ["--config", str(config), "How long is the Colorado River?"]
-    ) == 3
-    capsys.readouterr()
-    # A flag overrides the config's answer and becomes licensable.
-    code = main(
-        ["ask"] + rivers_rules_args()
-        + [
-            "--config", str(config),
-            "--answer", "Colorado River is 2334 km long.",
-            "How long is the Colorado River?",
-        ]
-    )
-    assert code == 0
-
-
-def test_unknown_config_key_is_input_error(tmp_path, capsys):
-    config = tmp_path / "run.json"
-    config.write_text('{"frobnicate": 1}')
-    code = main(
-        ["ask"] + rivers_rules_args()
-        + ["--config", str(config), "How long is the Colorado River?"]
-    )
-    assert code == 2
-
-
-def ask_with_config(tmp_path, settings, *flags):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps(settings))
-    return main(
-        ["ask"] + rivers_rules_args() + list(flags)
-        + ["--config", str(config), "How long is the Colorado River?"]
-    )
-
-
-def test_config_values_pass_the_flags_checks(tmp_path, capsys):
-    # A misspelt choice must not silently switch the mock.
-    assert ask_with_config(tmp_path, {"mock_mode": "ecko"}) == 2
-    assert ask_with_config(tmp_path, {"max_hops": 2.5}) == 2
-    assert ask_with_config(tmp_path, {"max_hops": None}) == 2
-    assert ask_with_config(tmp_path, {"label_predicate": [["label"]]}) == 2
-    assert ask_with_config(tmp_path, {"max_hops": 0}) == 2
-    config = tmp_path / "eval.json"
-    config.write_text(json.dumps({"jobs": -3}))
+    ) == 2
     assert main(eval_args("--condition", "baseline", "--config", str(config))) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert "mock_mode" in err and "max_hops" in err and "jobs" in err
-    assert "must be at least 1, got 0" in err and "must be at least 1, got -3" in err
+    assert capsys.readouterr().err.count("unrecognized arguments: --config") == 2
 
 
-def test_config_string_number_reads_like_the_flag(tmp_path, capsys):
-    answer = ["--mock-mode", "fixed", "--answer", "Colorado River is 2334 km long."]
-    assert ask_with_config(tmp_path, {"max_hops": "2"}, *answer) == 0
-    from_config = capsys.readouterr().out
-    assert main(
-        ["ask"] + rivers_rules_args() + answer
-        + ["--max-hops", "2", "How long is the Colorado River?"]
-    ) == 0
-    assert capsys.readouterr().out == from_config
+def test_label_predicate_flag_replaces_config_list(capsys):
+    def ask(*flags):
+        return main(
+            ["ask"] + rivers_rules_args() + list(flags)
+            + ["How long is the Colorado River?"]
+        )
 
-
-def test_label_predicate_flag_replaces_config_list(tmp_path, capsys):
-    # An unknown label predicate alone gives an empty lexicon, so no claims.
-    assert ask_with_config(tmp_path, {"label_predicate": ["label"]}) == 0
-    assert ask_with_config(tmp_path, {"label_predicate": "label"}) == 0
-    code = ask_with_config(
-        tmp_path, {"label_predicate": ["label"]}, "--label-predicate", "nolabel"
-    )
-    assert code == 3
+    # No flag reads labels from `label`; a flag replaces that default, so an
+    # unknown label predicate alone gives an empty lexicon, and no claims.
+    assert ask() == 0
+    assert ask("--label-predicate", "nolabel") == 3
+    assert ask("--label-predicate", "nolabel", "--label-predicate", "label") == 0
 
 
 # --- eval --------------------------------------------------------------------
@@ -424,6 +384,16 @@ def test_count_flags_below_one_are_input_errors(capsys):
     err = capsys.readouterr().err
     assert "--jobs: must be at least 1" in err
     assert "--max-hops: must be at least 1" in err
+
+
+def test_misspelt_mock_mode_is_input_error(capsys):
+    # A misspelt choice must not silently switch the mock.
+    assert main(
+        ["ask"] + rivers_rules_args()
+        + ["--mock-mode", "ecko", "How long is the Colorado River?"]
+    ) == 2
+    err = capsys.readouterr().err
+    assert "--mock-mode" in err and "invalid choice" in err and "ecko" in err
 
 
 def test_eval_jobs_flag_gives_identical_output(capsys):

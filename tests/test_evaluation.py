@@ -616,6 +616,19 @@ def test_result_log_flags_accept_only_json_booleans(tmp_path, field, value):
     assert repr(field) in str(err.value)
 
 
+@pytest.mark.parametrize("value", [5, None, ""])
+def test_result_log_item_id_must_be_a_string(tmp_path, value):
+    # A number would match the dataset id that is its str(); a blank id none.
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps(LOG_ROW) + "\n" + json.dumps(
+        {**LOG_ROW, "item_id": value}
+    ) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_result_log(path)
+    assert err.value.line == 2
+    assert "'item_id'" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "field,responded",
     [("correct", "ANSWERED"), ("appropriate_abstention", "ABSTAINED")],

@@ -285,6 +285,9 @@ def test_parse_rules_round_trip():
         'R "SUBJ near OBJ" predicate=<p> kind=fuzzy',  # bad kind
         'R "SUBJ near OBJ" kind=entity',  # missing predicate
         "R no-quoted-pattern predicate=<p> kind=entity",
+        # A scale of 0 reads every number as 0; a negative one flips a sign.
+        'R "SUBJ is OBJ km long" predicate=<length> kind=numeric scale=0',
+        'R "SUBJ is OBJ km long" predicate=<length> kind=numeric scale=-1000',
     ],
 )
 def test_rule_file_errors(line):
