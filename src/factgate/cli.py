@@ -123,8 +123,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     )
     report = validate_graph(graph, constraints)
     print(
-        f"triples={len(graph)} subjects={len({t.subject for t in graph})} "
-        f"predicates={len({t.predicate for t in graph})}"
+        f"triples={len(graph)} subjects={len({t.subject.value for t in graph})} "
+        f"predicates={len({t.predicate.value for t in graph})}"
     )
     print(f"conforms={'true' if report.conforms else 'false'}")
     for v in report.violations:

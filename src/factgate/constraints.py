@@ -3,9 +3,13 @@
 Seven constraint families cover the formal rules a knowledge graph (and any
 claim hypothetically inserted into it) must satisfy: object typing, numeric
 bounds, property ordering, conditional requirements, and temporal interval
-overlap. Constraints are declared in a line-oriented manifest. A graph is
-validated whole; a claim is charged with exactly the violations that
-asserting it would add, found by re-checking only the nodes it touches.
+overlap. Constraints are declared in a line-oriented manifest.
+
+Every constraint has one shape: a check over the triples of one predicate,
+each triple a unit. A whole graph is validated by scanning each predicate's
+triples once, and a type test is a lookup in the class's instance set, built
+once per call. A claim is charged with exactly the violations that asserting
+it would add, found by re-checking only the units around its subject.
 
 Bound and ordering checks use exact decimal comparison; only numeric
 *equality* elsewhere is tolerant. Nodes missing a constrained property are
@@ -17,8 +21,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, fields
 from decimal import Decimal
-from functools import cache, partial
-from typing import Callable
 
 from .kg import (
     RDF_TYPE,
@@ -57,15 +59,42 @@ def _violation_order(v: Violation) -> tuple:
     return (v.focus.value, v.message, triple_sort_key(v.triple))
 
 
+class _Scan:
+    """A whole graph as one validate_graph call reads it: `match`, and
+    `holds(s, p, o)` for an IRI object, a set lookup. The subjects of each
+    (predicate, object) pair asked about are gathered on its first ask and
+    kept for the call, so each class's instance set is built once. The sets
+    hold IRI strings: hashing and comparing `Iri`s would cost more."""
+
+    __slots__ = ("match", "_subjects")
+
+    def __init__(self, graph: Graph):
+        self.match, self._subjects = graph.match, {}
+
+    def subjects(self, p: Iri, o: Iri) -> set[str]:
+        key = p.value, o.value
+        found = self._subjects.get(key)
+        if found is None:
+            found = self._subjects[key] = {
+                t.subject.value
+                for t in self.match(p=p)
+                if isinstance(t.object, Iri) and t.object.value == o.value
+            }
+        return found
+
+    def holds(self, s: Iri, p: Iri, o: Iri) -> bool:
+        found = self._subjects.get((p.value, o.value))
+        return s.value in (self.subjects(p, o) if found is None else found)
+
+
 class _GraphPlusClaim:
     """Read-only view of a graph plus one triple it does not hold. It answers
-    the only two queries the checks make, `match` and `contains`."""
+    the only two queries the checks make of a graph, `match` and `holds`."""
 
     __slots__ = ("graph", "claim")
 
     def __init__(self, graph: Graph, claim: Triple):
-        self.graph = graph
-        self.claim = claim
+        self.graph, self.claim = graph, claim
 
     def _claim_matches(self, s: Iri | None, p: Iri | None, o: Term | None) -> bool:
         c = self.claim
@@ -83,110 +112,79 @@ class _GraphPlusClaim:
             found.append(self.claim)
         return found
 
-    def contains(self, triple: Triple) -> bool:
-        return self.graph.contains(triple) or self._claim_matches(
-            triple.subject, triple.predicate, triple.object
-        )
+    def holds(self, s: Iri, p: Iri, o: Iri) -> bool:
+        return self.graph.holds(s, p, o) or self._claim_matches(s, p, o)
 
 
-_GraphLike = Graph | _GraphPlusClaim
+_View = Graph | _Scan | _GraphPlusClaim
 
 
-def _instances_of(graph: Graph, cls: Iri) -> list[Iri]:
-    return sorted(
-        {t.subject for t in graph.match(p=RDF_TYPE, o=cls)}, key=lambda i: i.value
-    )
+def _numeric_values(graph: _View, node: Iri, prop: Iri) -> list[Decimal]:
+    return [
+        t.object.numeric
+        for t in graph.match(s=node, p=prop)
+        if isinstance(t.object, Literal) and t.object.numeric is not None
+    ]
 
 
-# The instances of a class, computed once per `validate_graph` call and
-# shared by the node checks that target it.
-_Instances = Callable[[Iri], list[Iri]]
+# Every constraint has one check shape: `check_triple(graph, t)` on each of
+# its units t, which are triples of its `unit_predicate`. A constraint with a
+# `unit_class` (the numeric bounds and ordering) takes as units only the
+# triples whose subject has that class, and its check reads only triples of
+# the unit's subject. One without (object typing, requirements, intervals)
+# takes every triple of the predicate, and its check reads triples of the
+# unit's subject and of its object. The graph is read only through `match`
+# and `holds`, and every violation carries its unit as its triple and the
+# unit's subject as its focus. So a claim (x, p, o) can touch only the units
+# whose subject is x, if x has the unit class, and, for a check that reads
+# objects, those whose object is x; the claim itself is one of the former
+# once asserted. Those are the units `check_around` re-checks.
 
 
-def _has_type(graph: _GraphLike, node: Iri, cls: Iri) -> bool:
-    return graph.contains(Triple(node, RDF_TYPE, cls))
+class _Check:
+    unit_class: Iri | None = None
+    unit_predicate = property(lambda self: self.predicate)
 
-
-def _numeric_values(
-    graph: _GraphLike, node: Iri, prop: Iri
-) -> list[tuple[Decimal, Triple]]:
-    out = []
-    for t in graph.match(s=node, p=prop):
-        if isinstance(t.object, Literal) and t.object.is_numeric:
-            out.append((t.object.numeric, t))
-    return out
-
-
-# Each constraint is a loop over one per-unit check. A node check's units are
-# the instances of its target class; a triple check's units are the triples
-# of its predicate. Every check reads only triples whose subject is the
-# unit's node, or the subject or object of the unit triple, and every
-# violation it reports carries that node as its focus (node checks) or that
-# triple as its triple (triple checks). So asserting a claim can change the
-# violations of only the units that touch the claim's subject, plus the claim
-# itself as a new unit: that is what `check_around` re-checks.
-
-
-class _NodeCheck:
-    """Units are the instances of `target_class`; subclasses define
-    `check_node(graph, node)` for one instance."""
-
-    def evaluate(self, graph: Graph, instances: _Instances) -> list[Violation]:
-        return [
-            v
-            for node in instances(self.target_class)
-            for v in self.check_node(graph, node)
-        ]
-
-    def check_around(self, graph: _GraphLike, node: Iri) -> list[Violation]:
-        """Violations of the units whose check reads triples of `node`."""
-        if not _has_type(graph, node, self.target_class):
-            return []
-        return self.check_node(graph, node)
-
-
-class _TripleCheck:
-    """Units are the triples of `predicate`; subclasses define
-    `check_triple(graph, t)` for one of them."""
-
-    def evaluate(self, graph: Graph, instances: _Instances) -> list[Violation]:
-        return [
-            v
-            for t in graph.match(p=self.predicate)
-            for v in self.check_triple(graph, t)
-        ]
-
-    def check_around(self, graph: _GraphLike, node: Iri) -> list[Violation]:
-        """Violations of the units whose check reads triples of `node`."""
-        incoming = graph.match(p=self.predicate, o=node)
-        units = graph.match(s=node, p=self.predicate) + [
-            t for t in incoming if t.subject != node
-        ]
+    def evaluate(self, graph: _Scan) -> list[Violation]:
+        """The violations of every unit: one scan of the predicate's triples."""
+        units = graph.match(p=self.unit_predicate)
+        if self.unit_class is not None:
+            typed = graph.subjects(RDF_TYPE, self.unit_class)
+            units = [t for t in units if t.subject.value in typed]
         return [v for t in units for v in self.check_triple(graph, t)]
+
+    def check_around(self, graph: _View, node: Iri) -> list[Violation]:
+        """The violations of the units a claim on `node` can touch."""
+        p, cls = self.unit_predicate, self.unit_class
+        if cls is None:
+            incoming = graph.match(p=p, o=node)
+            units = graph.match(s=node, p=p)
+            units += [t for t in incoming if t.subject != node]
+        elif graph.holds(node, RDF_TYPE, cls):
+            units = graph.match(s=node, p=p)
+        else:
+            return []
+        return [v for t in units for v in self.check_triple(graph, t)]
+
+    def _violation(self, t: Triple, message: str) -> Violation:
+        return Violation(self.id, t.subject, t, message)
 
 
 @dataclass(frozen=True)
-class ClassOfObject(_TripleCheck):
+class ClassOfObject(_Check):
     """Objects of `predicate` must be IRIs typed as `target_class`."""
 
     id: str
     predicate: Iri
     target_class: Iri
 
-    def check_triple(self, graph: _GraphLike, t: Triple) -> list[Violation]:
+    def check_triple(self, graph: _View, t: Triple) -> list[Violation]:
         obj = t.object
-        if isinstance(obj, Iri) and _has_type(graph, obj, self.target_class):
+        if isinstance(obj, Iri) and graph.holds(obj, RDF_TYPE, self.target_class):
             return []
         shown = obj.value if isinstance(obj, Iri) else obj.lexical
-        return [
-            Violation(
-                self.id,
-                t.subject,
-                t,
-                f"object {shown!r} of <{self.predicate.value}> is not "
-                f"typed <{self.target_class.value}>",
-            )
-        ]
+        message = f"object {shown!r} of <{self.predicate.value}> is not typed"
+        return [self._violation(t, f"{message} <{self.target_class.value}>")]
 
 
 # Each bound kind: the symbol its message shows, and the check a value passes.
@@ -198,8 +196,9 @@ _BOUNDS = {
 
 
 @dataclass(frozen=True)
-class NumericBound(_NodeCheck):
-    """Shared evaluator for min_exclusive / min_inclusive / max_inclusive."""
+class NumericBound(_Check):
+    """Shared evaluator for min_exclusive / min_inclusive / max_inclusive.
+    Units: the `property` triples of `target_class` nodes."""
 
     id: str
     kind: str
@@ -207,54 +206,53 @@ class NumericBound(_NodeCheck):
     property: Iri
     bound: Decimal
 
-    def check_node(self, graph: _GraphLike, node: Iri) -> list[Violation]:
+    unit_class = property(lambda self: self.target_class)
+    unit_predicate = property(lambda self: self.property)
+
+    def check_triple(self, graph: _View, t: Triple) -> list[Violation]:
+        value = t.object.numeric if isinstance(t.object, Literal) else None
         symbol, ok = _BOUNDS[self.kind]
-        out = []
-        for value, t in _numeric_values(graph, node, self.property):
-            if not ok(value, self.bound):
-                out.append(
-                    Violation(
-                        self.id,
-                        node,
-                        t,
-                        f"<{self.property.value}> value "
-                        f"{decimal_lexical(value)} is not {symbol} "
-                        f"{decimal_lexical(self.bound)}",
-                    )
-                )
-        return out
+        if value is None or ok(value, self.bound):
+            return []
+        return [
+            self._violation(
+                t,
+                f"<{self.property.value}> value {decimal_lexical(value)} is not "
+                f"{symbol} {decimal_lexical(self.bound)}",
+            )
+        ]
 
 
 @dataclass(frozen=True)
-class LessThanProperty(_NodeCheck):
-    """On `target_class` nodes, every `lesser` value < every `greater` value."""
+class LessThanProperty(_Check):
+    """On `target_class` nodes, every `lesser` value < every `greater` value.
+    Units: the `lesser` triples of `target_class` nodes."""
 
     id: str
     target_class: Iri
     lesser: Iri
     greater: Iri
 
-    def check_node(self, graph: _GraphLike, node: Iri) -> list[Violation]:
-        out = []
-        greater_vals = _numeric_values(graph, node, self.greater)
-        for lv, lt in _numeric_values(graph, node, self.lesser):
-            for gv, _ in greater_vals:
-                if not lv < gv:
-                    out.append(
-                        Violation(
-                            self.id,
-                            node,
-                            lt,
-                            f"<{self.lesser.value}> {decimal_lexical(lv)} is "
-                            f"not strictly less than <{self.greater.value}> "
-                            f"{decimal_lexical(gv)}",
-                        )
-                    )
-        return out
+    unit_class = property(lambda self: self.target_class)
+    unit_predicate = property(lambda self: self.lesser)
+
+    def check_triple(self, graph: _View, t: Triple) -> list[Violation]:
+        lv = t.object.numeric if isinstance(t.object, Literal) else None
+        if lv is None:
+            return []
+        return [
+            self._violation(
+                t,
+                f"<{self.lesser.value}> {decimal_lexical(lv)} is not strictly "
+                f"less than <{self.greater.value}> {decimal_lexical(gv)}",
+            )
+            for gv in _numeric_values(graph, t.subject, self.greater)
+            if not lv < gv
+        ]
 
 
 @dataclass(frozen=True)
-class ConditionalRequirement(_TripleCheck):
+class ConditionalRequirement(_Check):
     """(s, predicate, o) with o typed `object_class` requires
     (s, required_predicate, required_object)."""
 
@@ -264,29 +262,25 @@ class ConditionalRequirement(_TripleCheck):
     required_predicate: Iri
     required_object: Iri
 
-    def check_triple(self, graph: _GraphLike, t: Triple) -> list[Violation]:
+    def check_triple(self, graph: _View, t: Triple) -> list[Violation]:
         if not isinstance(t.object, Iri):
             return []
-        if not _has_type(graph, t.object, self.object_class):
+        if not graph.holds(t.object, RDF_TYPE, self.object_class):
             return []
-        required = Triple(t.subject, self.required_predicate, self.required_object)
-        if graph.contains(required):
+        if graph.holds(t.subject, self.required_predicate, self.required_object):
             return []
         return [
-            Violation(
-                self.id,
-                t.subject,
+            self._violation(
                 t,
                 f"<{t.subject.value}> has <{self.predicate.value}> "
-                f"<{t.object.value}> but lacks "
-                f"<{self.required_predicate.value}> "
+                f"<{t.object.value}> but lacks <{self.required_predicate.value}> "
                 f"<{self.required_object.value}>",
             )
         ]
 
 
 @dataclass(frozen=True)
-class IntervalOverlap(_TripleCheck):
+class IntervalOverlap(_Check):
     """For (a, predicate, b), the [start, end] intervals of a and b must
     overlap (closed intervals, non-strict at endpoints)."""
 
@@ -295,44 +289,34 @@ class IntervalOverlap(_TripleCheck):
     start: Iri
     end: Iri
 
-    def _interval(
-        self, graph: _GraphLike, node: Iri
-    ) -> tuple[Decimal, Decimal] | None:
-        starts = [v for v, _ in _numeric_values(graph, node, self.start)]
-        ends = [v for v, _ in _numeric_values(graph, node, self.end)]
+    def _interval(self, graph: _View, node: Iri) -> tuple[Decimal, Decimal] | None:
+        starts = _numeric_values(graph, node, self.start)
+        ends = _numeric_values(graph, node, self.end)
         if not starts or not ends:
             return None
         # Multi-valued endpoints take the widest reading.
         return min(starts), max(ends)
 
-    def check_triple(self, graph: _GraphLike, t: Triple) -> list[Violation]:
+    def check_triple(self, graph: _View, t: Triple) -> list[Violation]:
         if not isinstance(t.object, Iri):
             return []
         a = self._interval(graph, t.subject)
         b = self._interval(graph, t.object)
-        if a is None or b is None:
-            return []
-        if a[0] <= b[1] and b[0] <= a[1]:
+        if a is None or b is None or (a[0] <= b[1] and b[0] <= a[1]):
             return []
         return [
-            Violation(
-                self.id,
-                t.subject,
+            self._violation(
                 t,
                 f"intervals of <{t.subject.value}> "
                 f"[{decimal_lexical(a[0])}, {decimal_lexical(a[1])}] and "
                 f"<{t.object.value}> "
-                f"[{decimal_lexical(b[0])}, {decimal_lexical(b[1])}] "
-                f"do not overlap",
+                f"[{decimal_lexical(b[0])}, {decimal_lexical(b[1])}] do not overlap",
             )
         ]
 
 
 Constraint = (
-    ClassOfObject
-    | NumericBound
-    | LessThanProperty
-    | ConditionalRequirement
+    ClassOfObject | NumericBound | LessThanProperty | ConditionalRequirement
     | IntervalOverlap
 )
 
@@ -381,12 +365,10 @@ def parse_manifest(text: str) -> ConstraintSet:
 
 def validate_graph(graph: Graph, constraints: ConstraintSet) -> ValidationReport:
     """Evaluate every constraint against the whole graph."""
+    scan = _Scan(graph)
     violations: list[Violation] = []
-    instances = cache(partial(_instances_of, graph))
     for constraint in constraints:
-        violations.extend(
-            sorted(constraint.evaluate(graph, instances), key=_violation_order)
-        )
+        violations.extend(sorted(constraint.evaluate(scan), key=_violation_order))
     return ValidationReport(conforms=not violations, violations=tuple(violations))
 
 

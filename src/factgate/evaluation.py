@@ -178,6 +178,16 @@ def _parse_item(payload: dict, line: int) -> QAItem:
         raise ParseError(line, str(exc)) from exc
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object; a repeated key is an error, not a pick of its last value."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_jsonl(
     path: str | Path, parse: Callable[[dict, int], T], key: Callable[[T], str]
 ) -> list[T]:
@@ -190,9 +200,11 @@ def _read_jsonl(
         if not line:
             continue
         try:
-            payload = json.loads(line)
+            payload = json.loads(line, object_pairs_hook=_json_object)
         except json.JSONDecodeError as exc:
             raise ParseError(number, f"bad JSON: {exc}") from exc
+        except ValueError as exc:  # a key repeated in one object
+            raise ParseError(number, str(exc)) from exc
         value = parse(payload, number)
         if (value_key := key(value)) in seen:
             raise DuplicateId(value_key)

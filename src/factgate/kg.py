@@ -505,6 +505,11 @@ class Graph:
             and (o is None or term_matches(t.object, o))
         ]
 
+    def holds(self, s: Iri, p: Iri, o: Iri) -> bool:
+        """`contains` for the triple of an IRI object, as node ids of a run."""
+        lo, hi = self._spo.get(s.value, {}).get(p.value, (0, 0))
+        return self._ids.get(o.value) in self._objects[lo:hi]
+
     def find_supporting(self, triple: Triple) -> Triple | None:
         """The first stored triple entailing `triple`, or None."""
         hits = self.match(triple.subject, triple.predicate, triple.object)

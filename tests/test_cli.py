@@ -483,6 +483,26 @@ def test_eval_blank_gold_answer_is_exit_2(tmp_path, capsys):
         assert "line 4: 'gold_answer' must be a non-blank string" in err
 
 
+def test_eval_repeated_json_key_is_exit_2(tmp_path, capsys):
+    # Read with its last value, a repeated key scored a line against it.
+    lines = (RIVERS / "qa.jsonl").read_text().splitlines()
+    lines[0] = lines[0][:-1] + ', "gold_answer": "9999 km"}'
+    dataset = tmp_path / "qa.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    args = ["--dataset", str(dataset), "--condition", "baseline"]
+    assert main(["eval"] + rivers_rules_args() + args) == 2
+    assert "line 1: duplicate key 'gold_answer'" in capsys.readouterr().err
+    log = tmp_path / "log.jsonl"
+    assert main(eval_args("--condition", "baseline", "--output", str(log))) == 0
+    capsys.readouterr()
+    rows = log.read_text().splitlines()
+    rows[2] = rows[2][:-1] + ', "correct": true}'
+    log.write_text("\n".join(rows) + "\n")
+    assert main(eval_args("--condition", "baseline", "--from-log", str(log))) == 2
+    err = capsys.readouterr().err
+    assert f"result log {str(log)!r}: line 3: duplicate key 'correct'" in err
+
+
 def test_eval_entailed_flag_must_match_the_graph(tmp_path, capsys):
     rows = [json.loads(line) for line in (RIVERS / "qa.jsonl").read_text().splitlines()]
     held = next(i for i, row in enumerate(rows) if row["entailed"])

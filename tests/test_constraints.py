@@ -5,6 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factgate.constraints import (
+    ClassOfObject,
+    ConditionalRequirement,
+    IntervalOverlap,
+    LessThanProperty,
+    NumericBound,
+    ValidationReport,
+    Violation,
     parse_manifest,
     validate_claim,
     validate_graph,
@@ -19,6 +26,7 @@ from factgate.kg import (
     ParseError,
     Triple,
     parse_ntriples,
+    triple_sort_key,
 )
 
 TYPE = f"<{RDF_TYPE_IRI}>"
@@ -619,3 +627,163 @@ def test_validate_claim_is_the_set_difference_on_random_graphs(manifest, triples
     assert validate_claim(claim, graph, cs) == brute_force_claim_violations(
         claim, graph, cs
     )
+
+
+# --- whole-graph validation against a reference by definition ---------------
+
+
+def reference_report(graph: Graph, constraints) -> ValidationReport:
+    """validate_graph by each constraint kind's definition, from linear scans
+    of the graph's triples: each constraint's violations sorted by focus,
+    message and triple, in manifest order."""
+    triples = tuple(graph)
+
+    def typed(node, cls) -> bool:
+        return any(t == Triple(node, RDF_TYPE, cls) for t in triples)
+
+    def numbers(node, prop) -> list:
+        return [
+            t.object.numeric
+            for t in triples
+            if t.subject == node and t.predicate == prop
+            and isinstance(t.object, Literal) and t.object.is_numeric
+        ]
+
+    def units(prop, cls=None) -> list:
+        return [
+            t for t in triples
+            if t.predicate == prop and (cls is None or typed(t.subject, cls))
+        ]
+
+    def number(term):
+        return term.numeric if isinstance(term, Literal) else None
+
+    violations = []
+    for c in constraints:
+        found = []  # (unit, message)
+        if isinstance(c, ClassOfObject):
+            for t in units(c.predicate):
+                o = t.object
+                if not (isinstance(o, Iri) and typed(o, c.target_class)):
+                    shown = o.value if isinstance(o, Iri) else o.lexical
+                    found.append((t, f"object {shown!r} of <{c.predicate.value}> "
+                                     f"is not typed <{c.target_class.value}>"))
+        elif isinstance(c, NumericBound):
+            symbol, ok = {
+                "min_exclusive": (">", lambda v: v > c.bound),
+                "min_inclusive": (">=", lambda v: v >= c.bound),
+                "max_inclusive": ("<=", lambda v: v <= c.bound),
+            }[c.kind]
+            for t in units(c.property, c.target_class):
+                v = number(t.object)
+                if v is not None and not ok(v):
+                    found.append((t, f"<{c.property.value}> value {v:f} is not "
+                                     f"{symbol} {c.bound:f}"))
+        elif isinstance(c, LessThanProperty):
+            for t in units(c.lesser, c.target_class):
+                lv = number(t.object)
+                for gv in numbers(t.subject, c.greater) if lv is not None else ():
+                    if not lv < gv:
+                        found.append((t, f"<{c.lesser.value}> {lv:f} is not strictly "
+                                         f"less than <{c.greater.value}> {gv:f}"))
+        elif isinstance(c, ConditionalRequirement):
+            required = (c.required_predicate, c.required_object)
+            for t in units(c.predicate):
+                if (
+                    isinstance(t.object, Iri)
+                    and typed(t.object, c.object_class)
+                    and Triple(t.subject, *required) not in triples
+                ):
+                    found.append((t, f"<{t.subject.value}> has <{c.predicate.value}> "
+                                     f"<{t.object.value}> but lacks "
+                                     f"<{c.required_predicate.value}> "
+                                     f"<{c.required_object.value}>"))
+        elif isinstance(c, IntervalOverlap):
+            for t in units(c.predicate):
+                if not isinstance(t.object, Iri):
+                    continue
+                ends = [
+                    (numbers(n, c.start), numbers(n, c.end))
+                    for n in (t.subject, t.object)
+                ]
+                if not all(starts and stops for starts, stops in ends):
+                    continue
+                # Multi-valued endpoints take the widest reading.
+                (a0, a1), (b0, b1) = [(min(x), max(y)) for x, y in ends]
+                if not (a0 <= b1 and b0 <= a1):
+                    found.append((t, f"intervals of <{t.subject.value}> "
+                                     f"[{a0:f}, {a1:f}] and <{t.object.value}> "
+                                     f"[{b0:f}, {b1:f}] do not overlap"))
+        else:
+            raise AssertionError(c)
+        violations += sorted(
+            (Violation(c.id, t.subject, t, message) for t, message in found),
+            key=lambda v: (v.focus.value, v.message, triple_sort_key(v.triple)),
+        )
+    return ValidationReport(conforms=not violations, violations=tuple(violations))
+
+
+# Every kind over a few predicates, so that random graphs of a few dozen
+# triples break each often: rivers' elevations are both bounded, ordered and
+# the intervals of their tributary edges.
+ALL_KINDS_MANIFEST = """\
+C1 class_of_object predicate=<hasTributary> class=<River>
+C2 min_exclusive class=<River> property=<sourceElevation> bound=0
+C5 min_inclusive class=<River> property=<mouthElevation> bound=-100
+M1 max_inclusive class=<River> property=<length> bound=1
+C6 less_than_property class=<River> lesser=<mouthElevation> greater=<sourceElevation>
+C7 conditional_requirement predicate=<traverses> object_class=<State> required_predicate=<inCountry> required_object=<United_States>
+I1 interval_overlap predicate=<hasTributary> start=<mouthElevation> end=<sourceElevation>
+"""
+
+_ORACLE_NODES = [Iri(n) for n in ("a", "b", "c", "United_States")]
+_ORACLE_LINKS = [Iri(n) for n in ("hasTributary", "traverses", "inCountry")]
+_ORACLE_NUMERIC = [Iri(n) for n in ("sourceElevation", "mouthElevation", "length")]
+# One number in three spellings, numbers around each bound, and objects of a
+# numeric property that are no number: a numeric string and IRIs.
+_SPELLED_NUMBERS = [
+    Literal("5", Datatype.DECIMAL),
+    Literal("5.0", Datatype.DECIMAL),
+    Literal("5", Datatype.INTEGER),
+    *(Literal(n, Datatype.DECIMAL) for n in ("-150", "-100", "0", "1900.0")),
+    *(Literal(n, Datatype.INTEGER) for n in ("-120", "-5", "1", "1900")),
+]
+_NOT_NUMBERS = [Literal("5", Datatype.STRING), Iri("a"), Iri("River")]
+
+
+def _oracle_triples():
+    subject = st.sampled_from(_ORACLE_NODES)
+    numeric = st.builds(
+        Triple,
+        subject,
+        st.sampled_from(_ORACLE_NUMERIC),
+        st.sampled_from(_SPELLED_NUMBERS * 3 + _NOT_NUMBERS),
+    )
+    return st.one_of(
+        numeric,
+        numeric,
+        st.builds(
+            Triple, subject, st.just(RDF_TYPE), st.sampled_from(_CLASSES[:2])
+        ),
+        st.builds(
+            Triple,
+            subject,
+            st.sampled_from(_ORACLE_LINKS),
+            st.sampled_from([*_ORACLE_NODES, Iri("River"), Literal("a")]),
+        ),
+        # A self-loop on each link predicate.
+        st.builds(
+            lambda s, p: Triple(s, p, s), subject, st.sampled_from(_ORACLE_LINKS)
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rivers=st.sets(st.sampled_from(_ORACLE_NODES)),
+    triples=st.lists(_oracle_triples(), min_size=16, max_size=48),
+)
+def test_validate_graph_matches_the_reference_on_random_graphs(rivers, triples):
+    graph = Graph([*(Triple(n, RDF_TYPE, Iri("River")) for n in rivers), *triples])
+    cs = parse_manifest(ALL_KINDS_MANIFEST)
+    assert validate_graph(graph, cs) == reference_report(graph, cs)

@@ -108,6 +108,7 @@ def test_violating_item_cannot_be_entailed(tmp_path):
 def test_dataset_flags_accept_only_json_booleans(tmp_path, field, value):
     path = tmp_path / "d.jsonl"
     row = {"id": "a", "question": "q?", "gold_answer": "x", "entailed": False}
+    row.pop(field, None)  # a repeated key is an error of its own
     path.write_text(
         '{"id": "z", "question": "q?", "gold_answer": "x", "entailed": false}\n'
         + json.dumps(row)[:-1] + f', "{field}": {value}}}\n'
@@ -128,6 +129,7 @@ def test_dataset_text_fields_must_be_non_blank_strings(tmp_path, field, value):
     # Coerced, "" or null (read as "None") graded every response correct.
     path = tmp_path / "d.jsonl"
     row = {"id": "a", "question": "q?", "gold_answer": "x", "entailed": False}
+    row.pop(field, None)  # a repeated key is an error of its own
     path.write_text(
         '{"id": "z", "question": "q?", "gold_answer": "x", "entailed": false}\n'
         + json.dumps(row)[:-1] + f', "{field}": {value}}}\n'

@@ -387,6 +387,23 @@ def test_match_agrees_with_scan_on_random_patterns(seed):
                 )
 
 
+@pytest.mark.parametrize("seed", [3, 17, 99])
+def test_holds_is_contains_for_iri_objects(seed):
+    from conftest import random_graph
+
+    g = random_graph(random.Random(seed), 60)
+    nodes = [Iri(f"e{i}") for i in range(13)]  # no triple names e12
+    predicates = [Iri(f"p{i}") for i in range(5)]  # nor p4
+    answers = [
+        (g.holds(s, p, o), g.contains(Triple(s, p, o)))
+        for s in nodes
+        for p in predicates
+        for o in nodes
+    ]
+    assert all(held == contained for held, contained in answers)
+    assert sum(held for held, _ in answers) == sum(isinstance(t.object, Iri) for t in g)
+
+
 def test_match_orders_deterministically():
     g = parse_ntriples("<b> <p> <x> .\n<a> <q> <x> .\n<a> <p> <x> .")
     assert [t.subject.value + t.predicate.value for t in g.match()] == [
