@@ -101,8 +101,6 @@ def _mock_behavior(args: argparse.Namespace) -> MockBehavior:
 
 
 def _http_generator(args: argparse.Namespace) -> HttpGenerator:
-    if not args.endpoint:
-        raise CliError("--endpoint is required with --generator http")
     config = GeneratorConfig(
         endpoint_url=args.endpoint,
         model_name=args.model,
@@ -137,13 +135,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_ask(args: argparse.Namespace) -> int:
     config = _load_run_config(args)
-    if args.generator == "http":
+    if args.endpoint is not None:
         generator = _http_generator(args)
     else:
-        behavior = _mock_behavior(args)
-        if behavior.mode is not MockMode.ECHO_CONTEXT and args.answer is None:
-            raise CliError(f"--answer is required with the {behavior.mode.value} mock")
-        generator = mock_generator(behavior, answer_key=args.answer, rules=config.rules)
+        generator = mock_generator(
+            _mock_behavior(args), answer_key=args.answer, rules=config.rules
+        )
     try:
         decision = run_pipeline(
             args.question,
@@ -198,7 +195,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"{' and '.join(logged)}; re-scored as {condition.value}"
             )
     else:
-        if args.generator == "http":
+        if args.endpoint is not None:
             http = _http_generator(args)
             factory = lambda item: http
         else:
@@ -269,7 +266,6 @@ def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
             help="retrieval depth (default: 3); a reached class or node of "
             f"more than {HUB_DEGREE} triples is not expanded",
         )
-        parser.add_argument("--generator", choices=("mock", "http"), default="mock")
         parser.add_argument(
             "--mock-mode", choices=("echo", "fixed", "noisy"), default="echo"
         )

@@ -7,9 +7,11 @@ overlap. Constraints are declared in a line-oriented manifest.
 
 Every constraint has one shape: a check over the triples of one predicate,
 each triple a unit. A whole graph is validated by scanning each predicate's
-triples once, and a type test is a lookup in the class's instance set, built
-once per call. A claim is charged with exactly the violations that asserting
-it would add, found by re-checking only the units around its subject.
+triples once. A type or requirement test is a lookup in the graph's subject
+set of its (predicate, object) pair (Graph.subjects_of), built once per graph
+and shared by every later call. A claim is charged with exactly the
+violations that asserting it would add, found by re-checking only the units
+around its subject.
 
 Bound and ordering checks use exact decimal comparison; only numeric
 *equality* elsewhere is tolerant. Nodes missing a constrained property are
@@ -59,34 +61,6 @@ def _violation_order(v: Violation) -> tuple:
     return (v.focus.value, v.message, triple_sort_key(v.triple))
 
 
-class _Scan:
-    """A whole graph as one validate_graph call reads it: `match`, and
-    `holds(s, p, o)` for an IRI object, a set lookup. The subjects of each
-    (predicate, object) pair asked about are gathered on its first ask and
-    kept for the call, so each class's instance set is built once. The sets
-    hold IRI strings: hashing and comparing `Iri`s would cost more."""
-
-    __slots__ = ("match", "_subjects")
-
-    def __init__(self, graph: Graph):
-        self.match, self._subjects = graph.match, {}
-
-    def subjects(self, p: Iri, o: Iri) -> set[str]:
-        key = p.value, o.value
-        found = self._subjects.get(key)
-        if found is None:
-            found = self._subjects[key] = {
-                t.subject.value
-                for t in self.match(p=p)
-                if isinstance(t.object, Iri) and t.object.value == o.value
-            }
-        return found
-
-    def holds(self, s: Iri, p: Iri, o: Iri) -> bool:
-        found = self._subjects.get((p.value, o.value))
-        return s.value in (self.subjects(p, o) if found is None else found)
-
-
 class _GraphPlusClaim:
     """Read-only view of a graph plus one triple it does not hold. It answers
     the only two queries the checks make of a graph, `match` and `holds`."""
@@ -116,7 +90,7 @@ class _GraphPlusClaim:
         return self.graph.holds(s, p, o) or self._claim_matches(s, p, o)
 
 
-_View = Graph | _Scan | _GraphPlusClaim
+_View = Graph | _GraphPlusClaim
 
 
 def _numeric_values(graph: _View, node: Iri, prop: Iri) -> list[Decimal]:
@@ -134,7 +108,8 @@ def _numeric_values(graph: _View, node: Iri, prop: Iri) -> list[Decimal]:
 # the unit's subject. One without (object typing, requirements, intervals)
 # takes every triple of the predicate, and its check reads triples of the
 # unit's subject and of its object. The graph is read only through `match`
-# and `holds`, and every violation carries its unit as its triple and the
+# and `holds`, both of which a Graph answers from its own indexes and subject
+# sets, and every violation carries its unit as its triple and the
 # unit's subject as its focus. So a claim (x, p, o) can touch only the units
 # whose subject is x, if x has the unit class, and, for a check that reads
 # objects, those whose object is x; the claim itself is one of the former
@@ -145,11 +120,11 @@ class _Check:
     unit_class: Iri | None = None
     unit_predicate = property(lambda self: self.predicate)
 
-    def evaluate(self, graph: _Scan) -> list[Violation]:
+    def evaluate(self, graph: Graph) -> list[Violation]:
         """The violations of every unit: one scan of the predicate's triples."""
         units = graph.match(p=self.unit_predicate)
         if self.unit_class is not None:
-            typed = graph.subjects(RDF_TYPE, self.unit_class)
+            typed = graph.subjects_of(RDF_TYPE, self.unit_class)
             units = [t for t in units if t.subject.value in typed]
         return [v for t in units for v in self.check_triple(graph, t)]
 
@@ -365,10 +340,9 @@ def parse_manifest(text: str) -> ConstraintSet:
 
 def validate_graph(graph: Graph, constraints: ConstraintSet) -> ValidationReport:
     """Evaluate every constraint against the whole graph."""
-    scan = _Scan(graph)
     violations: list[Violation] = []
     for constraint in constraints:
-        violations.extend(sorted(constraint.evaluate(scan), key=_violation_order))
+        violations.extend(sorted(constraint.evaluate(graph), key=_violation_order))
     return ValidationReport(conforms=not violations, violations=tuple(violations))
 
 

@@ -56,10 +56,6 @@ class UpstreamError(GeneratorError):
         self.body = body
 
 
-class MissingAnswerKey(GeneratorError):
-    """NOISY and FIXED_ANSWER mocks need a gold answer sentence."""
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     endpoint_url: str
@@ -143,16 +139,15 @@ def mock_generator(
     parsed, and a malformed line before it raises ParseError.
     FIXED_ANSWER returns the answer key verbatim. NOISY draws from a stream
     keyed by (seed, question): the answer key with p_correct, a corrupted
-    number variant with p_hallucinate, otherwise "I don't know".
+    number variant with p_hallucinate, otherwise "I don't know". Binding
+    either of the two without an answer key raises ValueError.
     """
+    if behavior.mode is not MockMode.ECHO_CONTEXT and answer_key is None:
+        raise ValueError(f"the {behavior.mode.value} mock requires an answer key")
 
     def generate(question: str, context: str) -> str:
         if behavior.mode is MockMode.ECHO_CONTEXT:
             return _echo_context(context, rules)
-        if answer_key is None:
-            raise MissingAnswerKey(
-                f"{behavior.mode.value} mock requires an answer key"
-            )
         if behavior.mode is MockMode.FIXED_ANSWER:
             return answer_key
         draw = random.Random(f"{behavior.seed}\x00{question}").random()

@@ -361,13 +361,15 @@ class Graph:
     only ints. All query results come out sorted, and every lookup is
     equivalent to a linear scan. The hubs, flagged by node id at build,
     are the classes (`rdf:type` objects) and the nodes of more than
-    HUB_DEGREE triples. The rendered lines live in a cache filled lazily
-    (see serialize_ntriples); no line is rendered at build.
+    HUB_DEGREE triples. Two caches are filled lazily, so no line is
+    rendered and no set gathered at build: the rendered lines (see
+    serialize_ntriples), and the subject sets of subjects_of, which back
+    holds.
     """
 
     __slots__ = (
         "_triples", "_spo", "_pos", "_ids", "_adj", "_subjects", "_objects",
-        "_hubs", "_lines",
+        "_hubs", "_lines", "_subject_sets",
     )
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -450,6 +452,7 @@ class Graph:
                 hubs[node] = 1
         self._hubs = hubs
         self._lines: list[str | None] | None = None
+        self._subject_sets: dict[tuple[str, str], set[str]] = {}
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -505,10 +508,26 @@ class Graph:
             and (o is None or term_matches(t.object, o))
         ]
 
+    def subjects_of(self, p: Iri, o: Iri) -> set[str]:
+        """The IRI strings of the subjects of the (s, p, o) triples, the
+        object being the IRI `o`: say, the instances of a class. Each pair's
+        set is gathered from the predicate's triples on its first ask and
+        kept for the graph's life, so it suits the few pairs a constraint
+        set names; two first asks at once may each gather it, and store
+        equal sets. Callers must not change the set."""
+        key = p.value, o.value
+        found = self._subject_sets.get(key)
+        if found is None:
+            found = self._subject_sets[key] = {
+                t.subject.value
+                for t in self._pos.get(p.value, ())
+                if isinstance(t.object, Iri) and t.object.value == o.value
+            }
+        return found
+
     def holds(self, s: Iri, p: Iri, o: Iri) -> bool:
-        """`contains` for the triple of an IRI object, as node ids of a run."""
-        lo, hi = self._spo.get(s.value, {}).get(p.value, (0, 0))
-        return self._ids.get(o.value) in self._objects[lo:hi]
+        """`contains` for the triple of an IRI object."""
+        return s.value in self.subjects_of(p, o)
 
     def find_supporting(self, triple: Triple) -> Triple | None:
         """The first stored triple entailing `triple`, or None."""

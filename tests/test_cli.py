@@ -173,12 +173,21 @@ def test_ask_fixed_mock_without_answer_is_input_error(capsys):
     assert code == 2
 
 
+def test_generator_flag_is_gone(capsys):
+    # An --endpoint alone selects the HTTP generator; --generator is unknown.
+    code = main(
+        ["ask"] + rivers_rules_args()
+        + ["--generator", "http", "How long is the Colorado River?"]
+    )
+    assert code == 2
+    assert "unrecognized arguments: --generator" in capsys.readouterr().err
+
+
 def test_ask_http_without_key_is_generator_failure(capsys, monkeypatch):
     monkeypatch.delenv("FACTGATE_API_KEY", raising=False)
     code = main(
         ["ask"] + rivers_rules_args()
         + [
-            "--generator", "http",
             "--endpoint", "https://localhost:1/v1/chat",
             "--model", "m",
             "How long is the Colorado River?",
@@ -191,14 +200,14 @@ def test_ask_http_without_key_is_generator_failure(capsys, monkeypatch):
 def http_ask_args(url, *flags):
     return (
         ["ask"] + rivers_rules_args()
-        + ["--generator", "http", "--endpoint", url, "--model", "m"]
+        + ["--endpoint", url, "--model", "m"]
         + list(flags) + ["How long is the Colorado River?"]
     )
 
 
 def test_ask_http_endpoint_must_be_an_http_url(capsys, monkeypatch, endpoint):
     monkeypatch.setenv("FACTGATE_API_KEY", "sekrit")
-    for url in ("file:///etc/hostname", endpoint.url.removeprefix("http://")):
+    for url in ("", "file:///etc/hostname", endpoint.url.removeprefix("http://")):
         assert main(http_ask_args(url)) == 2
         assert "endpoint must be an http(s) URL" in capsys.readouterr().err
     assert endpoint.requests == []
@@ -214,7 +223,7 @@ def test_ask_http_key_with_a_newline_is_not_printed(capsys, monkeypatch, endpoin
 
 def test_unusable_timeouts_are_input_errors(capsys, monkeypatch, endpoint):
     monkeypatch.setenv("FACTGATE_API_KEY", "sekrit")
-    http = ["--generator", "http", "--endpoint", endpoint.url, "--model", "m"]
+    http = ["--endpoint", endpoint.url, "--model", "m"]
     for timeout in ("nan", "inf", "1e300"):
         assert main(http_ask_args(endpoint.url, "--timeout", timeout)) == 2
         code = main(eval_args("--condition", "oracle", "--timeout", timeout, *http))
@@ -412,7 +421,7 @@ def test_eval_with_failed_items_is_exit_4(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("FACTGATE_API_KEY", raising=False)
     log = tmp_path / "log.jsonl"
     code = main(eval_args(
-        "--condition", "oracle", "--generator", "http",
+        "--condition", "oracle",
         "--endpoint", "http://127.0.0.1:1/v1/chat", "--output", str(log),
     ))
     run = capsys.readouterr()
@@ -441,7 +450,7 @@ def test_eval_unwritable_output_fails_before_any_item(
     monkeypatch.setenv("FACTGATE_API_KEY", "sekrit")
     missing = tmp_path / "nonexistent" / "run.jsonl"
     code = main(eval_args(
-        "--condition", "oracle", "--generator", "http", "--endpoint", endpoint.url,
+        "--condition", "oracle", "--endpoint", endpoint.url,
         "--model", "m", "--output", str(missing),
     ))
     captured = capsys.readouterr()

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +32,8 @@ from factgate.kg import (
     parse_ntriples,
     triple_sort_key,
 )
+
+from conftest import FIXTURES
 
 TYPE = f"<{RDF_TYPE_IRI}>"
 
@@ -553,6 +559,53 @@ def test_claim_on_a_fresh_subject():
     assert validate_claim(claim, g, cs) == []
     bad = Triple(Iri("New"), Iri("hasTributary"), Literal("R", Datatype.STRING))
     assert [v.constraint_id for v in validate_claim(bad, g, cs)] == ["C1"]
+
+
+def test_claims_agree_on_fresh_validated_and_shared_graphs():
+    # A graph gathers its subject sets on first ask: a claim's violations must
+    # not depend on which call, or which of several threads, asked first.
+    text = (FIXTURES / "rivers" / "graph.nt").read_text("utf-8")
+    cs = parse_manifest((FIXTURES / "rivers" / "constraints.txt").read_text("utf-8"))
+    nodes = sorted({t.subject for t in parse_ntriples(text)}, key=lambda n: n.value)
+    objects = [*nodes, Iri("River"), Iri("State"), Iri("United_States")]
+    # Many more rivers make gathering the River set slow enough that another
+    # thread would read it half-filled, were it shared before it is full.
+    text += "".join(f"<River_Extra_{i}> {TYPE} <River> .\n" for i in range(3000))
+    claims = [
+        Triple(s, p, o)
+        for s in [*nodes, Iri("Fresh")]
+        for p in (Iri("hasTributary"), Iri("traverses"), Iri("inCountry"), RDF_TYPE)
+        for o in objects
+    ] + [
+        Triple(s, Iri(p), Literal(v, Datatype.DECIMAL))
+        for s in nodes
+        for p, v in (("sourceElevation", "-5"), ("mouthElevation", "5000"))
+    ]
+
+    def run(graph):
+        return [validate_claim(c, graph, cs) for c in claims]
+
+    fresh = run(parse_ntriples(text))
+    assert sum(map(bool, fresh)) > 100
+    validated = parse_ntriples(text)
+    validate_graph(validated, cs)
+    assert run(validated) == fresh
+    shared = parse_ntriples(text)
+    start = threading.Barrier(4)
+
+    def threaded():
+        start.wait(timeout=60)
+        return run(shared)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(threaded) for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [fresh] * 4
 
 
 # Small vocabularies under which random graphs hit every constraint of both

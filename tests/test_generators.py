@@ -16,7 +16,6 @@ from factgate.generators import (
     AuthError,
     GeneratorConfig,
     HttpGenerator,
-    MissingAnswerKey,
     MockBehavior,
     MockMode,
     NO_CLAIM_TEXT,
@@ -51,8 +50,9 @@ def test_fixed_answer_passthrough():
 
 
 def test_fixed_answer_requires_key():
-    with pytest.raises(MissingAnswerKey):
-        mock_generator(MockBehavior(MockMode.FIXED_ANSWER))("q?", "")
+    # The key is checked when the mock is bound, before any question.
+    with pytest.raises(ValueError, match="fixed mock requires an answer key"):
+        mock_generator(MockBehavior(MockMode.FIXED_ANSWER))
 
 
 def test_echo_verbalizes_first_renderable_triple():
@@ -95,8 +95,8 @@ def test_noisy_degenerate_probabilities():
 
 
 def test_noisy_requires_answer_key():
-    with pytest.raises(MissingAnswerKey):
-        mock_generator(MockBehavior(MockMode.NOISY, p_correct=1.0))("q?", "")
+    with pytest.raises(ValueError, match="noisy mock requires an answer key"):
+        mock_generator(MockBehavior(MockMode.NOISY, p_correct=1.0))
 
 
 def test_noisy_replay_stability():

@@ -404,6 +404,40 @@ def test_holds_is_contains_for_iri_objects(seed):
     assert sum(held for held, _ in answers) == sum(isinstance(t.object, Iri) for t in g)
 
 
+# River is a class that is also a subject; Sea a class of no instance that
+# may be a subject, Ocean one absent from the graph; a literal "River" may be
+# a type object.
+_SET_SUBJECTS = [Iri(n) for n in ("a", "b", "River", "Sea")]
+_SET_PREDICATES = [RDF_TYPE, Iri("p0")]
+_SET_OBJECTS = [
+    Iri("River"), Iri("Lake"), Iri("a"), Literal("River", Datatype.STRING), lit("5")
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            Triple,
+            st.sampled_from(_SET_SUBJECTS),
+            st.sampled_from(_SET_PREDICATES),
+            st.sampled_from(_SET_OBJECTS),
+        ),
+        max_size=16,
+    )
+)
+def test_subjects_of_is_a_scan(triples):
+    g = Graph(triples)
+    scan = tuple(g)
+    for p in [*_SET_PREDICATES, Iri("absent")]:
+        for o in [Iri("River"), Iri("Lake"), Iri("a"), Iri("Sea"), Iri("Ocean")]:
+            found = g.subjects_of(p, o)
+            assert found == {
+                t.subject.value for t in scan if t.predicate == p and t.object == o
+            }
+            assert g.subjects_of(p, o) is found  # kept, not gathered again
+
+
 def test_match_orders_deterministically():
     g = parse_ntriples("<b> <p> <x> .\n<a> <q> <x> .\n<a> <p> <x> .")
     assert [t.subject.value + t.predicate.value for t in g.match()] == [
