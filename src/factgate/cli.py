@@ -91,24 +91,24 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _mock_behavior(args: argparse.Namespace) -> MockBehavior:
-    return MockBehavior(
-        mode=MockMode(args.mock_mode),
-        p_correct=args.p_correct,
-        p_hallucinate=args.p_hallucinate,
-        seed=args.seed,
-    )
+# Each generator flag and the field it sets: of MockBehavior (or the mock's
+# answer key) without --endpoint, of GeneratorConfig with it. A flag not given
+# is absent from the parsed args, so its field keeps the dataclass's default.
+_MOCK_FLAGS = {"--mock-mode": "mode", "--answer": "answer_key", "--seed": "seed",
+               "--p-correct": "p_correct", "--p-hallucinate": "p_hallucinate"}
+_HTTP_FLAGS = {"--model": "model_name", "--api-key-env": "api_key_env",
+               "--timeout": "timeout", "--retries": "max_retries"}
 
 
-def _http_generator(args: argparse.Namespace) -> HttpGenerator:
-    config = GeneratorConfig(
-        endpoint_url=args.endpoint,
-        model_name=args.model,
-        api_key_env=args.api_key_env,
-        timeout=args.timeout,
-        max_retries=args.retries,
-    )
-    return HttpGenerator(config)
+def _generator_fields(args: argparse.Namespace) -> dict:
+    """Fields set by the given flags of the generator --endpoint selects; a
+    flag only the other generator reads is an input error, not ignored."""
+    http = args.endpoint is not None
+    read, unread = (_HTTP_FLAGS, _MOCK_FLAGS) if http else (_MOCK_FLAGS, _HTTP_FLAGS)
+    if ignored := [flag for flag, field in unread.items() if hasattr(args, field)]:
+        where = "with" if http else "without"
+        raise CliError(f"{', '.join(ignored)}: not read {where} --endpoint")
+    return {field: getattr(args, field) for field in read.values() if hasattr(args, field)}
 
 
 # --- subcommands -------------------------------------------------------------
@@ -134,13 +134,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
+    fields = _generator_fields(args)
     config = _load_run_config(args)
     if args.endpoint is not None:
-        generator = _http_generator(args)
+        generator = HttpGenerator(GeneratorConfig(args.endpoint, **fields))
     else:
-        generator = mock_generator(
-            _mock_behavior(args), answer_key=args.answer, rules=config.rules
-        )
+        answer = fields.pop("answer_key", None)
+        generator = mock_generator(MockBehavior(**fields), answer, config.rules)
     try:
         decision = run_pipeline(
             args.question,
@@ -166,6 +166,7 @@ def _write_log(records: list[ResultRecord], path: str) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    fields = _generator_fields(args)
     config = _load_run_config(args)
     try:
         dataset = load_dataset(args.dataset)
@@ -196,10 +197,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
     else:
         if args.endpoint is not None:
-            http = _http_generator(args)
+            http = HttpGenerator(GeneratorConfig(args.endpoint, **fields))
             factory = lambda item: http
         else:
-            factory = mock_factory(_mock_behavior(args), rules=config.rules)
+            factory = mock_factory(MockBehavior(**fields), rules=config.rules)
         if args.output:
             _write_log([], args.output)  # unwritable: fail before any item runs
         records = run_condition(
@@ -248,6 +249,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_generator_flag(parser: argparse.ArgumentParser, name: str, **kw) -> None:
+    dest = (_MOCK_FLAGS | _HTTP_FLAGS)[name]
+    parser.add_argument(name, dest=dest, default=argparse.SUPPRESS, **kw)
+
+
 def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
     parser.add_argument("--graph", required=True, help="N-Triples graph file")
     parser.add_argument("--constraints", required=True, help="constraint manifest file")
@@ -266,18 +272,15 @@ def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
             help="retrieval depth (default: 3); a reached class or node of "
             f"more than {HUB_DEGREE} triples is not expanded",
         )
-        parser.add_argument(
-            "--mock-mode", choices=("echo", "fixed", "noisy"), default="echo"
-        )
-        parser.add_argument("--answer", default=None, help="mock answer sentence")
-        parser.add_argument("--p-correct", type=float, default=0.0)
-        parser.add_argument("--p-hallucinate", type=float, default=0.0)
-        parser.add_argument("--seed", type=int, default=0)
         parser.add_argument("--endpoint", default=None, help="chat completion URL")
-        parser.add_argument("--model", default="")
-        parser.add_argument("--api-key-env", default="FACTGATE_API_KEY")
-        parser.add_argument("--timeout", type=float, default=30.0)
-        parser.add_argument("--retries", type=int, default=2)
+        _add_generator_flag(parser, "--mock-mode", choices=[m.value for m in MockMode])
+        _add_generator_flag(parser, "--p-correct", type=float)
+        _add_generator_flag(parser, "--p-hallucinate", type=float)
+        _add_generator_flag(parser, "--seed", type=int)
+        _add_generator_flag(parser, "--model")
+        _add_generator_flag(parser, "--api-key-env")
+        _add_generator_flag(parser, "--timeout", type=float)
+        _add_generator_flag(parser, "--retries", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ask = sub.add_parser("ask", help="gate a single question")
     _add_common(p_ask, rules=True)
+    _add_generator_flag(p_ask, "--answer", help="mock answer sentence")
     p_ask.add_argument("question")
     p_ask.set_defaults(func=cmd_ask)
 

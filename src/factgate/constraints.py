@@ -11,7 +11,8 @@ triples once. A type or requirement test is a lookup in the graph's subject
 set of its (predicate, object) pair (Graph.subjects_of), built once per graph
 and shared by every later call. A claim is charged with exactly the
 violations that asserting it would add, found by re-checking only the units
-around its subject.
+around its subject, up to the term equality entailment uses (term_matches):
+a claim the graph entails adds nothing, however its number is spelled.
 
 Bound and ordering checks use exact decimal comparison; only numeric
 *equality* elsewhere is tolerant. Nodes missing a constrained property are
@@ -352,15 +353,16 @@ def validate_claim(
     """Violations a claim would introduce if asserted.
 
     Exactly the set difference `violations(G + claim) - violations(G)` under
-    `validate_graph`, in its order: a violation the graph already has is
-    never attributed to the claim, and a new one is attributed wherever its
-    focus lies. A claim the graph already holds adds nothing. Only the units
-    around the claim's subject are re-checked, on the graph and on a view of
-    the graph plus the claim; no graph is built.
+    `validate_graph`, in its order, taken up to the term equality entailment
+    uses: a claim the graph entails (`Graph.contains`) adds nothing, however
+    its number is spelled. A violation the graph already has is never
+    attributed to the claim, and a new one is attributed wherever its focus
+    lies. Only the units around the claim's subject are re-checked, on the
+    graph and on a view of the graph plus the claim; no graph is built.
     """
-    node = claim_triple.subject
-    if claim_triple in graph.match(node, claim_triple.predicate, claim_triple.object):
+    if graph.contains(claim_triple):
         return []
+    node = claim_triple.subject
     with_claim = _GraphPlusClaim(graph, claim_triple)
     new: list[Violation] = []
     for constraint in constraints:

@@ -363,9 +363,7 @@ def run_condition(
                 condition=condition,
             )
         audits = decision.audits
-        appropriate = (not audits) or any(
-            (not a.entailed) or a.violations for a in audits
-        )
+        appropriate = (not audits) or any(not a.entailed for a in audits)
         cited_violation = any(a.violations for a in audits)
         return ResultRecord(
             item_id=item.id,

@@ -1,9 +1,9 @@
 """The licensing gate.
 
 A generated response may only be emitted if every factual claim extracted
-from it is entailed by the knowledge graph and violates no constraint.
-Anything else becomes a deterministic abstention, and every decision
-carries the full audit trail of what supported or blocked it.
+from it is entailed by the knowledge graph, and an entailed claim adds no
+constraint violation. Anything else becomes a deterministic abstention, and
+every decision carries the full audit trail of what supported or blocked it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class Verdict(str, Enum):
 
 class AbstainReason(str, Enum):
     NO_EVIDENCE = "NO_EVIDENCE"
-    CONSTRAINT_VIOLATION = "CONSTRAINT_VIOLATION"
     NO_CLAIMS_POLICY = "NO_CLAIMS_POLICY"
 
 
@@ -75,17 +74,13 @@ def audit_claim(
 def decide(
     audits: Sequence[AuditRecord],
 ) -> tuple[Verdict, AbstainReason | None]:
-    """Licensing decision over a set of audits.
-
-    Missing evidence outranks constraint violations. An empty audit list
-    abstains: a response with no claim to check is never emitted.
+    """Licensing decision over a set of audits: answer iff every claim is
+    entailed. No audit abstains: a response with no claim is never emitted.
     """
     if not audits:
         return Verdict.ABSTAIN, AbstainReason.NO_CLAIMS_POLICY
     if any(not a.entailed for a in audits):
         return Verdict.ABSTAIN, AbstainReason.NO_EVIDENCE
-    if any(a.violations for a in audits):
-        return Verdict.ABSTAIN, AbstainReason.CONSTRAINT_VIOLATION
     return Verdict.ANSWER, None
 
 

@@ -59,7 +59,7 @@ class UpstreamError(GeneratorError):
 @dataclass(frozen=True)
 class GeneratorConfig:
     endpoint_url: str
-    model_name: str
+    model_name: str = ""
     api_key_env: str = "FACTGATE_API_KEY"
     timeout: float = 30.0
     max_retries: int = 2
@@ -83,12 +83,13 @@ class MockMode(str, Enum):
 
 @dataclass(frozen=True)
 class MockBehavior:
-    mode: MockMode
+    mode: MockMode = MockMode.ECHO_CONTEXT
     p_correct: float = 0.0
     p_hallucinate: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", MockMode(self.mode))
         for name in ("p_correct", "p_hallucinate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

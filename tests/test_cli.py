@@ -151,6 +151,30 @@ def test_ask_fabricated_fact_abstains(capsys):
     assert record["abstain_reason"] == "NO_EVIDENCE"
 
 
+def test_respelled_dirty_fact_answers_in_every_spelling(tmp_path, capsys):
+    # The stored "-5.0" breaks C2. A claim restating it in any spelling is
+    # entailed, adds no violation, and answers.
+    graph = tmp_path / "dirty.nt"
+    graph.write_text(
+        "<River_X> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <River> .\n"
+        '<River_X> <label> "River X" .\n'
+        '<River_X> <sourceElevation> "-5.0" .\n'
+    )
+    for number in ("-5", "-5.0", "-5.00"):
+        code = main([
+            "ask", "--graph", str(graph),
+            "--constraints", str(RIVERS / "constraints.txt"),
+            "--rules", str(RIVERS / "rules.txt"), "--mock-mode", "fixed",
+            "--answer", f"River X rises at {number} meters.",
+            "Where does River X rise?",
+        ])
+        record = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert record["verdict"] == "ANSWER"
+        [claim] = record["claims"]
+        assert claim["entailed"] and claim["violations"] == []
+
+
 def test_ask_unknown_topic_abstains_with_empty_claims(capsys):
     code = main(["ask"] + rivers_rules_args() + ["What is the capital of France?"])
     record = json.loads(capsys.readouterr().out)
@@ -221,6 +245,35 @@ def test_ask_http_key_with_a_newline_is_not_printed(capsys, monkeypatch, endpoin
     assert endpoint.requests == []
 
 
+def test_mock_flags_with_an_endpoint_are_input_errors(capsys, monkeypatch, endpoint):
+    # The HTTP client reads no mock flag, so none is silently dropped.
+    monkeypatch.setenv("FACTGATE_API_KEY", "sekrit")
+    http = ["--endpoint", endpoint.url]
+    for flag, value in (
+        ("--mock-mode", "fixed"), ("--answer", "Colorado River is 2334 km long."),
+        ("--p-correct", "5"), ("--p-hallucinate", "0.5"), ("--seed", "3"),
+    ):
+        assert main(http_ask_args(endpoint.url, flag, value)) == 2
+        assert capsys.readouterr().err == f"error: {flag}: not read with --endpoint\n"
+        if flag != "--answer":
+            assert main(eval_args("--condition", "oracle", flag, value, *http)) == 2
+            assert f"error: {flag}: not read with --endpoint" in capsys.readouterr().err
+    assert endpoint.requests == []
+
+
+def test_http_flags_without_an_endpoint_are_input_errors(capsys):
+    # A mock reads no HTTP flag, so none is silently dropped.
+    mock = ["--mock-mode", "fixed", "--answer", "Colorado River is 2334 km long."]
+    question = ["How long is the Colorado River?"]
+    for flag, value in (
+        ("--model", "m"), ("--api-key-env", "KEY"), ("--timeout", "5"), ("--retries", "1"),
+    ):
+        assert main(["ask"] + rivers_rules_args() + mock + [flag, value] + question) == 2
+        assert main(eval_args("--condition", "oracle", flag, value)) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"error: {flag}: not read without --endpoint\n") == 2
+
+
 def test_unusable_timeouts_are_input_errors(capsys, monkeypatch, endpoint):
     monkeypatch.setenv("FACTGATE_API_KEY", "sekrit")
     http = ["--endpoint", endpoint.url, "--model", "m"]
@@ -286,6 +339,17 @@ def test_eval_baseline_fixed_gold_is_100_percent(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[1].split()[1] == "100.0%"
+
+
+def test_eval_has_no_answer_flag(capsys):
+    # eval's mocks answer from each item's gold answer, so --answer would be
+    # read by nothing.
+    code = main(eval_args(
+        "--condition", "oracle", "--mock-mode", "fixed",
+        "--answer", "Colorado River is 9999 km long.",
+    ))
+    assert code == 2
+    assert "unrecognized arguments: --answer" in capsys.readouterr().err
 
 
 def test_eval_unknown_condition_is_exit_2(capsys):

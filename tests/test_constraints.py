@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -20,6 +21,8 @@ from factgate.constraints import (
     validate_claim,
     validate_graph,
 )
+from factgate.extraction import Claim
+from factgate.gate import audit_claim, decide
 from factgate.kg import (
     RDF_TYPE,
     RDF_TYPE_IRI,
@@ -30,6 +33,7 @@ from factgate.kg import (
     ParseError,
     Triple,
     parse_ntriples,
+    term_matches,
     triple_sort_key,
 )
 
@@ -468,12 +472,29 @@ P2 less_than_property class=<Philosopher> lesser=<birthYear> greater=<deathYear>
 
 
 def brute_force_claim_violations(claim, graph, constraints) -> list:
-    """validate_claim's definition, computed the slow way: the violations of
-    the graph with the claim asserted that the graph alone does not have,
-    once each, in validate_graph's order."""
+    """validate_claim's definition, computed the slow way: nothing for a
+    claim that a stored triple entails (a scan under term_matches);
+    otherwise the violations of the graph with the claim asserted that the
+    graph alone does not have, once each, in validate_graph's order."""
+    if any(
+        (t.subject, t.predicate) == (claim.subject, claim.predicate)
+        and term_matches(t.object, claim.object)
+        for t in graph
+    ):
+        return []
     before = set(validate_graph(graph, constraints).violations)
     after = validate_graph(Graph([*graph, claim]), constraints).violations
     return list(dict.fromkeys(v for v in after if v not in before))
+
+
+def spellings(integer: str) -> list[Literal]:
+    """Four spellings of one integer value."""
+    return [
+        Literal(integer, Datatype.DECIMAL),
+        Literal(f"{integer}.0", Datatype.DECIMAL),
+        Literal(f"{integer}.00", Datatype.DECIMAL),
+        Literal(integer, Datatype.INTEGER),
+    ]
 
 
 def test_claim_on_an_already_violating_node_is_not_charged_for_it():
@@ -516,15 +537,23 @@ def test_claim_the_graph_holds_adds_nothing():
     assert validate_claim(held, g, parse_manifest(RIVER_MANIFEST)) == []
 
 
-def test_integer_twin_of_a_stored_number_is_a_new_triple():
-    # "-5"^^xsd:integer is entailed by the stored decimal "-5", but it is a
-    # different triple, so asserting it adds its own C2 violation.
-    g = parse_ntriples(river("R", sourceElevation="-5"))
-    twin = Triple(Iri("R"), Iri("sourceElevation"), Literal("-5", Datatype.INTEGER))
+def test_every_spelling_of_a_stored_number_adds_nothing():
+    # The stored "-5.0" breaks C2. Every spelling of -5 is entailed by it, so
+    # asserting any of them adds nothing; the graph's own violation is never
+    # charged to a claim, whichever spelling the claim uses.
+    g = parse_ntriples(river("R", sourceElevation="-5.0"))
     cs = parse_manifest(RIVER_MANIFEST)
-    violations = validate_claim(twin, g, cs)
-    assert [(v.constraint_id, v.triple) for v in violations] == [("C2", twin)]
-    assert violations == brute_force_claim_violations(twin, g, cs)
+    assert [v.constraint_id for v in validate_graph(g, cs).violations] == ["C2"]
+    for spelling in spellings("-5"):
+        claim = Triple(Iri("R"), Iri("sourceElevation"), spelling)
+        assert g.contains(claim)
+        assert validate_claim(claim, g, cs) == []
+        assert brute_force_claim_violations(claim, g, cs) == []
+    # A value the graph does not hold is charged, in its own spelling.
+    fresh = Triple(Iri("R"), Iri("sourceElevation"), Literal("-6", Datatype.INTEGER))
+    violations = validate_claim(fresh, g, cs)
+    assert [(v.constraint_id, v.triple) for v in violations] == [("C2", fresh)]
+    assert violations == brute_force_claim_violations(fresh, g, cs)
 
 
 def test_type_claim_brings_a_node_and_its_incoming_edges_into_scope():
@@ -680,6 +709,48 @@ def test_validate_claim_is_the_set_difference_on_random_graphs(manifest, triples
     assert validate_claim(claim, graph, cs) == brute_force_claim_violations(
         claim, graph, cs
     )
+
+
+def _by_value(v: Violation) -> tuple:
+    """A violation with its message dropped and its triple's number read by
+    value: what stays the same when a claim's number is respelled."""
+    o = v.triple.object
+    value = o.numeric if isinstance(o, Literal) and o.is_numeric else o
+    return v.constraint_id, v.focus, v.triple.subject, v.triple.predicate, value
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    manifest=st.sampled_from([RIVER_MANIFEST, PHILOSOPHER_MANIFEST]),
+    triples=st.lists(_triples(_NODES), max_size=14),
+    data=st.data(),
+)
+def test_audits_do_not_depend_on_how_a_number_is_spelled(manifest, triples, data):
+    cs = parse_manifest(manifest)
+    s, p, integer = data.draw(
+        st.tuples(
+            st.sampled_from(_NODES + [Iri("fresh")]),
+            st.sampled_from(_NUMERIC_PREDICATES),
+            st.sampled_from(_INTEGERS),
+        ),
+        label="claim",
+    )
+    # Often the graph stores the claim's number in one of its spellings, and
+    # types its subject with the class the manifest's bounds apply to.
+    stored = data.draw(st.sampled_from([None, *spellings(integer)]), label="stored")
+    typed = data.draw(st.booleans(), label="typed")
+    cls = Iri("River" if manifest == RIVER_MANIFEST else "Philosopher")
+    added = [Triple(s, RDF_TYPE, cls)] if typed else []
+    if stored is not None:
+        added.append(Triple(s, p, stored))
+    graph = Graph([*triples, *added])
+    seen = set()
+    for spelling in spellings(integer):
+        audit = audit_claim(graph, cs, Claim(Triple(s, p, spelling), (0, 0), "R"))
+        assert not (audit.entailed and audit.violations)
+        violations = Counter(map(_by_value, audit.violations))
+        seen.add((decide([audit]), audit.entailed, frozenset(violations.items())))
+    assert len(seen) == 1
 
 
 # --- whole-graph validation against a reference by definition ---------------

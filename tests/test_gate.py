@@ -142,12 +142,6 @@ def test_any_unentailed_abstains_no_evidence():
     assert reason is AbstainReason.NO_EVIDENCE
 
 
-def test_entailed_with_violation_abstains():
-    verdict, reason = decide([violating_audit()])
-    assert verdict is Verdict.ABSTAIN
-    assert reason is AbstainReason.CONSTRAINT_VIOLATION
-
-
 def test_no_evidence_outranks_violation():
     verdict, reason = decide([violating_audit(), unentailed_audit()])
     assert reason is AbstainReason.NO_EVIDENCE
