@@ -22,9 +22,7 @@ from typing import Callable, Sequence, TypeVar
 from .constraints import ConstraintSet, parse_manifest, validate_graph
 from .evaluation import (
     Condition,
-    DuplicateId,
     ResultRecord,
-    UnknownItem,
     compute_metrics,
     load_dataset,
     mock_factory,
@@ -172,7 +170,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         dataset = load_dataset(args.dataset)
     except OSError as exc:
         raise CliError(f"cannot read dataset {args.dataset!r}: {exc}") from exc
-    except (ParseError, DuplicateId) as exc:
+    except ParseError as exc:
         raise CliError(f"dataset {args.dataset!r}: {exc}") from exc
     # The metrics split items by their entailed flag, so it must hold.
     for item in dataset:
@@ -186,7 +184,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.from_log:
         try:
             records = read_result_log(args.from_log)
-        except (OSError, ParseError, DuplicateId) as exc:
+        except (OSError, ParseError) as exc:
             raise CliError(f"result log {args.from_log!r}: {exc}") from exc
         # A log is scored only as the condition that wrote it.
         logged = sorted({r.condition.value for r in records if r.condition})
@@ -216,7 +214,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     try:
         metrics = compute_metrics(dataset, records)
-    except UnknownItem as exc:
+    except ValueError as exc:
         raise CliError(f"result log {args.from_log!r}: {exc}") from exc
     # A log that skips items would be scored on the rest alone.
     if len(records) < len(dataset):

@@ -71,18 +71,18 @@ class _GraphPlusClaim:
     def __init__(self, graph: Graph, claim: Triple):
         self.graph, self.claim = graph, claim
 
-    def _claim_matches(self, s: Iri | None, p: Iri | None, o: Term | None) -> bool:
+    def _claim_matches(self, s: Iri | None, p: Iri, o: Term | None) -> bool:
         c = self.claim
         return (
-            (s is None or c.subject == s)
-            and (p is None or c.predicate == p)
+            c.predicate == p
+            and (s is None or c.subject == s)
             and (o is None or term_matches(c.object, o))
         )
 
     def match(
-        self, s: Iri | None = None, p: Iri | None = None, o: Term | None = None
+        self, *, s: Iri | None = None, p: Iri, o: Term | None = None
     ) -> list[Triple]:
-        found = self.graph.match(s, p, o)
+        found = self.graph.match(s=s, p=p, o=o)
         if self._claim_matches(s, p, o):
             found.append(self.claim)
         return found

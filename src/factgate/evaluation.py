@@ -37,18 +37,6 @@ from .kg import Graph, ParseError, Triple, parse_ntriples_line, read_utf8, split
 T = TypeVar("T")
 
 
-class DuplicateId(Exception):
-    def __init__(self, item_id: str):
-        super().__init__(f"duplicate item id {item_id!r}")
-        self.item_id = item_id
-
-
-class UnknownItem(Exception):
-    def __init__(self, item_id: str):
-        super().__init__(f"result record references unknown item {item_id!r}")
-        self.item_id = item_id
-
-
 class Condition(str, Enum):
     BASELINE = "BASELINE"
     CONTEXT_ONLY = "CONTEXT_ONLY"
@@ -192,7 +180,8 @@ def _read_jsonl(
     path: str | Path, parse: Callable[[dict, int], T], key: Callable[[T], str]
 ) -> list[T]:
     """`parse(payload, line)` over each non-blank line of a JSONL file; the
-    `key` of each parsed value must be unique."""
+    `key` of each parsed value must be unique, and a repeat is a ParseError
+    at its line."""
     values: list[T] = []
     seen: set[str] = set()
     for number, raw in enumerate(split_lines(read_utf8(path)), start=1):
@@ -207,7 +196,7 @@ def _read_jsonl(
             raise ParseError(number, str(exc)) from exc
         value = parse(payload, number)
         if (value_key := key(value)) in seen:
-            raise DuplicateId(value_key)
+            raise ParseError(number, f"duplicate item id {value_key!r}")
         seen.add(value_key)
         values.append(value)
     return values
@@ -398,18 +387,20 @@ def compute_metrics(
     An abstention without an explicit appropriateness flag falls back to
     the item's entailment flag: abstaining on a non-entailed question is
     appropriate. Ingested external logs usually take this fallback. Each
-    item is scored at most once: a repeated item id raises DuplicateId.
+    item is scored at most once: a record of an unknown or already scored
+    item id raises ValueError.
     """
     by_id = {item.id: item for item in dataset}
     seen: set[str] = set()
     c: Counter[str] = Counter()
     for record in records:
-        item = by_id.get(record.item_id)
+        item_id = record.item_id
+        item = by_id.get(item_id)
         if item is None:
-            raise UnknownItem(record.item_id)
-        if record.item_id in seen:
-            raise DuplicateId(record.item_id)
-        seen.add(record.item_id)
+            raise ValueError(f"result record references unknown item {item_id!r}")
+        if item_id in seen:
+            raise ValueError(f"duplicate item id {item_id!r}")
+        seen.add(item_id)
         c["total"] += 1
         answered = record.responded is Responded.ANSWERED
         if answered:

@@ -406,5 +406,7 @@ def verbalize_triple(triple: Triple, rule: PredicateRule) -> str:
     else:
         assert isinstance(triple.object, Iri)
         obj_text = local_name(triple.object).replace("_", " ")
-    sentence = rule.pattern.replace("SUBJ", subj_text).replace("OBJ", obj_text)
-    return sentence + "."
+    # Only the slot words _segments reads are filled, in one pass: a name
+    # that holds OBJ, or a pattern word such as OBJECT, stays as written.
+    text = {"SUBJ": subj_text, "OBJ": obj_text}
+    return _SLOT_RE.sub(lambda m: text[m.group(1)], rule.pattern) + "."

@@ -3,8 +3,8 @@
 Holds an immutable, indexed set of (subject, predicate, object) triples
 parsed from a flat N-Triples subset (no prefixes, no blank nodes, no
 language tags). The store answers three questions: does a triple hold
-(entailment, with tolerant numeric matching), which triples match a
-pattern, and what lies within k hops of a set of seed entities.
+(entailment, tolerant for numbers), which triples of a predicate have a
+given subject or object, and what lies within k hops of some entities.
 """
 
 from __future__ import annotations
@@ -310,9 +310,9 @@ def triple_sort_key(triple: Triple) -> tuple[str, str, str]:
     )
 
 
-def serialize_ntriples(source: Graph | Subgraph) -> str:
-    """N-Triples of a Graph or a retrieve_subgraph result, one triple per
-    line, in the graph's sorted order.
+def serialize_ntriples(sub: Subgraph) -> str:
+    """N-Triples of a retrieve_subgraph result, one triple per line, in the
+    graph's sorted order.
 
     Lines come from the graph's line cache, indexed by rank. It is made on
     the first call and filled lazily: each line is rendered once, the first
@@ -321,15 +321,12 @@ def serialize_ntriples(source: Graph | Subgraph) -> str:
     about 100 bytes each. Concurrent calls may render the same line twice,
     writing the same string to the same slot.
     """
-    if isinstance(source, Graph):
-        graph, ranks = source, range(len(source))
-    else:
-        graph, ranks = source.graph, source.ranks
+    graph = sub.graph
     cache = graph._lines
     if cache is None:
         cache = graph._lines = [None] * len(graph._triples)
     lines = []
-    for rank in ranks:
+    for rank in sub.ranks:
         line = cache[rank]
         if line is None:
             line = cache[rank] = triple_to_ntriples(graph._triples[rank])
@@ -349,13 +346,13 @@ class Graph:
     object. One build serves `Graph(triples)` and parse_ntriples alike: it
     deduplicates and sorts those keys as strings and makes each Triple
     after that, from tables mapping the strings to terms. Two indexes,
-    keyed by IRI strings, back the subject and predicate lookups: subject
+    keyed by IRI strings, back match's (s, p) and (p) lookups: subject
     -> predicate -> (lo, hi), the rank run of the sorted order holding that
     pair's triples, and predicate -> triples. Every IRI node (a subject or
     an IRI object) gets a dense integer id at build, through one string ->
     id table. Indexed by node id, the adjacency holds the ascending ranks
-    of the triples whose subject or object the node is, which serve object
-    lookups and retrieval; indexed by rank, two int lists hold each
+    of the triples whose subject or object the node is, which serve the
+    (p, o) lookup and retrieval; indexed by rank, two int lists hold each
     triple's subject and object node ids (-1 for a literal), the very int
     objects of the id table. A lookup thus hashes strings, and retrieval
     only ints. All query results come out sorted, and every lookup is
@@ -464,49 +461,26 @@ class Graph:
         return f"Graph({len(self._triples)} triples)"
 
     def match(
-        self,
-        s: Iri | None = None,
-        p: Iri | None = None,
-        o: Term | None = None,
+        self, *, s: Iri | None = None, p: Iri, o: Term | None = None
     ) -> list[Triple]:
-        """All triples matching the bound positions, in sorted order.
-
-        Subject and predicate match byte-equal; a bound object matches per
-        term_matches (tolerant for numeric literals). A bound subject picks
-        a slice of the sorted triples by its rank runs, a bound IRI object
-        its adjacency ranks, a bound predicate alone its list.
+        """The triples of predicate `p` with subject `s` and object `o`, as
+        far as those are bound, in sorted order, as a new list. A bound
+        subject reads its (s, p) rank run, else an IRI object its adjacency,
+        else `p`'s list. IRIs match byte-equal, an object per term_matches.
         """
-        # Pick an index, then test only the positions it did not select.
         if s is not None:
-            runs = self._spo.get(s.value)
-            if runs is None:
-                return []
-            if p is not None:
-                lo, hi = runs.get(p.value, (0, 0))
-            else:
-                # A subject's runs are adjacent, inserted in sorted order.
-                spans = [*runs.values()]
-                lo, hi = spans[0][0], spans[-1][1]
-            run = self._triples[lo:hi]
-            if o is None:
-                return run  # the slice is a new list
-            return [t for t in run if term_matches(t.object, o)]
-        if isinstance(o, Iri):
+            lo, hi = self._spo.get(s.value, {}).get(p.value, (0, 0))
+            found = self._triples[lo:hi]  # the slice is a new list
+        elif isinstance(o, Iri):
             node = self._ids.get(o.value)
             ranks = () if node is None else self._adj[node]
-            found: Iterable[Triple] = map(self._triples.__getitem__, ranks)
-        elif p is not None:
-            found, p = self._pos.get(p.value, ()), None
+            hits = map(self._triples.__getitem__, ranks)
+            return [t for t in hits if t.predicate.value == p.value and t.object == o]
         else:
-            found = self._triples
-        if p is None and o is None:
-            return list(found)
-        return [
-            t
-            for t in found
-            if (p is None or t.predicate.value == p.value)
-            and (o is None or term_matches(t.object, o))
-        ]
+            found = list(self._pos.get(p.value, ()))
+        if o is None:
+            return found
+        return [t for t in found if term_matches(t.object, o)]
 
     def subjects_of(self, p: Iri, o: Iri) -> set[str]:
         """The IRI strings of the subjects of the (s, p, o) triples, the
@@ -531,7 +505,7 @@ class Graph:
 
     def find_supporting(self, triple: Triple) -> Triple | None:
         """The first stored triple entailing `triple`, or None."""
-        hits = self.match(triple.subject, triple.predicate, triple.object)
+        hits = self.match(s=triple.subject, p=triple.predicate, o=triple.object)
         return hits[0] if hits else None
 
     def contains(self, triple: Triple) -> bool:

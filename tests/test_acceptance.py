@@ -218,7 +218,7 @@ def test_criterion_06_entailment_index_oracle():
         probe = random_triple()
         if graph.contains(probe) != scan_contains(graph, probe):
             disagreements += 1
-        got = graph.match(probe.subject, probe.predicate, probe.object)
+        got = graph.match(s=probe.subject, p=probe.predicate, o=probe.object)
         want = scan_match(graph, probe.subject, probe.predicate, probe.object)
         if sorted(map(str, got)) != sorted(map(str, want)):
             disagreements += 1

@@ -392,7 +392,18 @@ def test_eval_result_log_with_repeated_item_is_exit_2(tmp_path, capsys):
     lines = log.read_text().splitlines()
     log.write_text("\n".join(lines + lines[:1]) + "\n")
     assert main(eval_args("--condition", "oracle", "--from-log", str(log))) == 2
-    assert "duplicate item id" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"result log {str(log)!r}: line 25: duplicate item id 'rq01'" in err
+
+
+def test_eval_repeated_dataset_id_names_its_line(tmp_path, capsys):
+    rows = (RIVERS / "qa.jsonl").read_text().splitlines()
+    dataset = tmp_path / "qa.jsonl"
+    dataset.write_text("\n".join(rows[:2] + rows[:1]) + "\n")
+    args = rivers_rules_args() + ["--dataset", str(dataset), "--condition", "baseline"]
+    assert main(["eval"] + args) == 2
+    err = capsys.readouterr().err
+    assert f"dataset {str(dataset)!r}: line 3: duplicate item id 'rq01'" in err
 
 
 def test_eval_result_log_with_unknown_item_is_exit_2(tmp_path, capsys):

@@ -10,13 +10,11 @@ import pytest
 from factgate.constraints import parse_manifest
 from factgate.evaluation import (
     Condition,
-    DuplicateId,
     EvalMetrics,
     MetricCounts,
     QAItem,
     Responded,
     ResultRecord,
-    UnknownItem,
     answer_matches,
     compute_metrics,
     load_dataset,
@@ -82,7 +80,7 @@ def test_duplicate_id_rejected(tmp_path):
     path = tmp_path / "d.jsonl"
     row = '{"id": "a", "question": "q?", "gold_answer": "x", "entailed": false}\n'
     path.write_text(row + row)
-    with pytest.raises(DuplicateId):
+    with pytest.raises(ParseError, match="line 2: duplicate item id 'a'"):
         load_dataset(path)
 
 
@@ -448,7 +446,7 @@ def test_half_rejected_violations_give_half_cvrr():
 
 
 def test_unknown_item_raises():
-    with pytest.raises(UnknownItem):
+    with pytest.raises(ValueError, match="unknown item 'ghost'"):
         compute_metrics([], [record("ghost", Responded.ANSWERED, correct=True)])
 
 
@@ -653,12 +651,12 @@ def test_result_log_optional_flags_accept_boolean_or_null(
 def test_duplicated_record_is_rejected_not_counted_twice(tmp_path):
     dataset = [QAItem("a", "?", "x", entailed=False)]
     twice = [record("a", Responded.ABSTAINED), record("a", Responded.ABSTAINED)]
-    with pytest.raises(DuplicateId):
+    with pytest.raises(ValueError, match="duplicate item id 'a'"):
         compute_metrics(dataset, twice)
     assert compute_metrics(dataset, twice[:1]).counts.total == 1
     path = tmp_path / "log.jsonl"
     write_result_log(twice, path)
-    with pytest.raises(DuplicateId):
+    with pytest.raises(ParseError, match="line 2: duplicate item id 'a'"):
         read_result_log(path)
 
 

@@ -339,6 +339,34 @@ def test_rule_for_triple_respects_object_kind():
     assert rule_for_triple(entity_triple, [TRIB_RULE]) == TRIB_RULE
 
 
+_RIVERS_RULES = parse_rules((FIXTURES / "rivers" / "rules.txt").read_text("utf-8"))
+# Local names of words that spell, or hold, a slot name.
+_LOCAL_NAMES = st.lists(
+    st.sampled_from(["River", "OBJ", "SUBJ", "OBJECT", "Green", "X1"]),
+    min_size=1,
+    max_size=3,
+).map("_".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(_RIVERS_RULES),
+    _LOCAL_NAMES,
+    _LOCAL_NAMES,
+    st.decimals(min_value=-10**6, max_value=10**6, places=3),
+)
+def test_verbalized_triple_extracts_back(rule, subject, obj, number):
+    if rule.object_kind == "entity":
+        o: Iri | Literal = Iri(obj)
+    else:
+        o = Literal(decimal_lexical(number), Datatype.DECIMAL)
+    triple = Triple(Iri(subject), rule.predicate, o)
+    labels = [Triple(Iri(n), LABEL, Literal(n.replace("_", " "))) for n in (subject, obj)]
+    lexicon = build_lexicon(Graph([triple, *labels]), [LABEL])
+    claims = extract_claims(verbalize_triple(triple, rule), lexicon, [rule])
+    assert any(Graph([triple]).contains(c.triple) for c in claims)
+
+
 # --- equivalence with the regex extractor -------------------------------------
 # The extractor the alias trie replaced: every alias, longest first, compiled
 # into one alternation at each entity slot of each rule regex, and matched
