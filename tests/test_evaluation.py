@@ -450,6 +450,20 @@ def test_unknown_item_raises():
         compute_metrics([], [record("ghost", Responded.ANSWERED, correct=True)])
 
 
+def test_log_skipping_a_dataset_item_raises(rivers):
+    # On its first 5 records alone, this 2/3-accurate log would score 5/5.
+    graph, constraints, rules, lexicon, dataset = rivers
+    records = run_condition(
+        Condition.ORACLE, dataset, graph, constraints,
+        mock_factory(MockBehavior(MockMode.FIXED_ANSWER)), lexicon, rules,
+    )
+    assert compute_metrics(dataset, records).accuracy == Fraction(2, 3)
+    with pytest.raises(
+        ValueError, match="covers 5 of 24 dataset items; first missing 'rq06'"
+    ):
+        compute_metrics(dataset, records[:5])
+
+
 def test_undefined_metrics_on_empty_log():
     metrics = compute_metrics([], [])
     assert metrics.accuracy is None
@@ -580,6 +594,26 @@ def test_result_log_round_trip(tmp_path, rivers):
         "appropriate_abstention", "failed", "condition",
     }
     assert first["condition"] == "ORACLE"
+
+
+def test_result_log_lines_are_pinned(tmp_path):
+    # An enum, a null and both booleans in each line, keys sorted.
+    records = [
+        ResultRecord("rq01", Responded.ANSWERED, correct=True, licensed=True,
+                     condition=Condition.ORACLE),
+        ResultRecord("rq02", Responded.ABSTAINED, correct=None, licensed=False,
+                     failed=True),
+    ]
+    path = tmp_path / "log.jsonl"
+    write_result_log(records, path)
+    assert path.read_bytes() == (
+        b'{"appropriate_abstention": null, "condition": "ORACLE", "correct": true, '
+        b'"failed": false, "item_id": "rq01", "licensed": true, '
+        b'"rejected_violation": false, "responded": "ANSWERED"}\n'
+        b'{"appropriate_abstention": null, "condition": null, "correct": null, '
+        b'"failed": true, "item_id": "rq02", "licensed": false, '
+        b'"rejected_violation": false, "responded": "ABSTAINED"}\n'
+    )
 
 
 @pytest.mark.parametrize("value", ["oracle", "", 5, ["ORACLE"]])
