@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -35,7 +36,15 @@ from .constraints import ConstraintSet
 from .extraction import NUMBER_TOKEN_RE, Lexicon, PredicateRule
 from .gate import Verdict, build_context, run_pipeline
 from .generators import GeneratorError, GeneratorFn, MockBehavior, mock_generator
-from .kg import Graph, ParseError, Triple, parse_ntriples_line, read_utf8, split_lines
+from .kg import (
+    Graph,
+    ParseError,
+    Triple,
+    decimal_lexical,
+    parse_ntriples_line,
+    read_utf8,
+    split_lines,
+)
 
 T = TypeVar("T")
 
@@ -248,12 +257,10 @@ def read_result_log(path: str | Path) -> list[ResultRecord]:
 # --- grading -------------------------------------------------------------------
 
 
-def _canonical_number(token: str) -> str:
-    return format(Decimal(token).normalize(), "f")
-
-
 def _normalize_answer(text: str) -> str:
-    lowered = NUMBER_TOKEN_RE.sub(lambda m: _canonical_number(m.group(0)), text.lower())
+    lowered = NUMBER_TOKEN_RE.sub(
+        lambda m: decimal_lexical(Decimal(m.group(0)).normalize()), text.lower()
+    )
     return re.sub(r"\s+", " ", lowered).strip()
 
 
@@ -291,67 +298,48 @@ def run_condition(
     max_hops: int = 3,
     jobs: int = 1,
 ) -> list[ResultRecord]:
-    """Run one experiment condition over the dataset.
+    """Run one experiment condition over the dataset, one record per item.
 
-    `generator` is a per-item factory so mocks can key their behavior on
-    the item's gold answer. Generator failures are recorded per item as
-    abstentions with the failure flag set; they never abort the run.
+    Each item runs its condition's pipeline once: the gate (`run_pipeline`)
+    under ORACLE, otherwise the generator alone, with no context under
+    BASELINE and the retrieved one under CONTEXT_ONLY. Its record is one of
+    four: failed, an ungated answer, a licensed answer, or a gate
+    abstention. `generator` is a per-item factory so mocks can key their
+    behavior on the item's gold answer. Generator failures are recorded per
+    item as abstentions with the failure flag set; they never abort the run.
     """
 
     def run_item(item: QAItem) -> ResultRecord:
+        record = partial(ResultRecord, item.id, condition=condition)
         gen = generator(item)
+        gated = condition is Condition.ORACLE
         try:
-            if condition is Condition.ORACLE:
-                return _run_oracle_item(item, gen)
-            return _run_ungated_item(item, gen)
+            if gated:
+                decision = run_pipeline(
+                    item.question, graph, constraints, gen, lexicon, rules,
+                    max_hops=max_hops,
+                )
+                response = decision.response_text
+            elif condition is Condition.CONTEXT_ONLY:
+                context = build_context(item.question, graph, lexicon, max_hops)
+                response = gen(item.question, context)
+            else:
+                response = gen(item.question, "")
         except GeneratorError:
-            return ResultRecord(
-                item_id=item.id,
-                responded=Responded.ABSTAINED,
-                correct=None,
-                licensed=False,
-                failed=True,
-                condition=condition,
-            )
-
-    def _run_ungated_item(item: QAItem, gen: GeneratorFn) -> ResultRecord:
-        context = ""
-        if condition is Condition.CONTEXT_ONLY:
-            context = build_context(item.question, graph, lexicon, max_hops)
-        response = gen(item.question, context)
-        # No abstention mechanism: the response is always graded as answered.
-        return ResultRecord(
-            item_id=item.id,
-            responded=Responded.ANSWERED,
-            correct=answer_matches(response, item.gold_answer),
-            licensed=False,
-            condition=condition,
-        )
-
-    def _run_oracle_item(item: QAItem, gen: GeneratorFn) -> ResultRecord:
-        decision = run_pipeline(
-            item.question, graph, constraints, gen, lexicon, rules,
-            max_hops=max_hops,
-        )
-        if decision.verdict is Verdict.ANSWER:
-            return ResultRecord(
-                item_id=item.id,
-                responded=Responded.ANSWERED,
-                correct=answer_matches(decision.response_text, item.gold_answer),
-                licensed=True,
-                condition=condition,
-            )
+            return record(Responded.ABSTAINED, None, False, failed=True)
+        # Without the gate nothing abstains: every response is graded.
+        if not gated or decision.verdict is Verdict.ANSWER:
+            correct = answer_matches(response, item.gold_answer)
+            return record(Responded.ANSWERED, correct, licensed=gated)
+        # Both flags re-derive the gate's rule from the audits instead of
+        # reading the verdict, so a wrong abstention would lower AP.
         audits = decision.audits
         appropriate = (not audits) or any(not a.entailed for a in audits)
         cited_violation = any(a.violations for a in audits)
-        return ResultRecord(
-            item_id=item.id,
-            responded=Responded.ABSTAINED,
-            correct=None,
-            licensed=False,
+        return record(
+            Responded.ABSTAINED, None, False,
             rejected_violation=item.violates_constraints and cited_violation,
             appropriate_abstention=appropriate,
-            condition=condition,
         )
 
     if jobs > 1:
@@ -391,10 +379,15 @@ def compute_metrics(
     An abstention without an explicit appropriateness flag falls back to
     the item's entailment flag: abstaining on a non-entailed question is
     appropriate. Ingested external logs usually take this fallback. Each
-    item is scored exactly once: a record of an unknown or already scored
-    item id, or a log that skips a dataset item, raises ValueError.
+    item is scored exactly once: a dataset that repeats an item id, a
+    record of an unknown or already scored item id, or a log that skips a
+    dataset item raises ValueError.
     """
-    by_id = {item.id: item for item in dataset}
+    by_id: dict[str, QAItem] = {}
+    for item in dataset:
+        if item.id in by_id:
+            raise ValueError(f"duplicate dataset item id {item.id!r}")
+        by_id[item.id] = item
     seen: set[str] = set()
     c: Counter[str] = Counter()
     for record in records:

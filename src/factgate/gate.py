@@ -60,12 +60,16 @@ class LicensingDecision:
 def audit_claim(
     graph: Graph, constraints: ConstraintSet, claim: Claim
 ) -> AuditRecord:
-    """Two-step audit of one claim: entailment, then constraint validation."""
+    """Audit of one claim: its support in the graph, then, only for a claim
+    the graph does not entail, the violations asserting it would add. The
+    claim is looked up once; an entailed claim adds nothing, by the rule
+    `validate_claim` keeps, so it is not re-checked."""
     supporting = graph.find_supporting(claim.triple)
-    violations = validate_claim(claim.triple, graph, constraints)
+    entailed = supporting is not None
+    violations = () if entailed else validate_claim(claim.triple, graph, constraints)
     return AuditRecord(
         claim=claim,
-        entailed=supporting is not None,
+        entailed=entailed,
         violations=tuple(violations),
         supporting_triple=supporting,
     )

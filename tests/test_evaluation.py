@@ -323,7 +323,8 @@ def test_oracle_rejects_forced_violations(rivers):
     assert metrics.cvrr == 1
 
 
-def test_generator_failure_is_recorded_not_raised(rivers):
+@pytest.mark.parametrize("condition", list(Condition))
+def test_generator_failure_is_recorded_not_raised(rivers, condition):
     graph, constraints, rules, lexicon, dataset = rivers
 
     def exploding(item):
@@ -333,11 +334,15 @@ def test_generator_failure_is_recorded_not_raised(rivers):
         return gen
 
     records = run_condition(
-        Condition.ORACLE, dataset[:3], graph, constraints, exploding,
-        lexicon, rules,
+        condition, dataset[:3], graph, constraints, exploding, lexicon, rules,
     )
-    assert len(records) == 3
-    assert all(r.failed and r.responded is Responded.ABSTAINED for r in records)
+    assert records == [
+        ResultRecord(
+            item.id, Responded.ABSTAINED, None, False, failed=True,
+            condition=condition,
+        )
+        for item in dataset[:3]
+    ]
 
 
 def test_parallel_run_matches_serial(rivers):
@@ -688,6 +693,9 @@ def test_duplicated_record_is_rejected_not_counted_twice(tmp_path):
     with pytest.raises(ValueError, match="duplicate item id 'a'"):
         compute_metrics(dataset, twice)
     assert compute_metrics(dataset, twice[:1]).counts.total == 1
+    # The dataset side too: one record cannot score an item listed twice.
+    with pytest.raises(ValueError, match="duplicate dataset item id 'a'"):
+        compute_metrics(dataset * 2, twice[:1])
     path = tmp_path / "log.jsonl"
     write_result_log(twice, path)
     with pytest.raises(ParseError, match="line 2: duplicate item id 'a'"):

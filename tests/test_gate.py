@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from factgate.constraints import parse_manifest
+from factgate.constraints import parse_manifest, validate_claim
 from factgate.extraction import Claim, build_lexicon, parse_rules
 from factgate.gate import (
     ABSTENTION_TEXT,
@@ -26,6 +26,7 @@ from factgate.generators import (
 from factgate.kg import (
     RDF_TYPE_IRI,
     Datatype,
+    Graph,
     Iri,
     Literal,
     Triple,
@@ -107,10 +108,24 @@ def test_violating_claim_is_flagged_even_without_entailment():
         )
     )
     constraints = parse_manifest(MANIFEST)
-    record = audit_claim(graph, constraints, claim_of("River_X", "sourceElevation", "50"))
+    claim = claim_of("River_X", "sourceElevation", "50")
+    record = audit_claim(graph, constraints, claim)
     assert not record.entailed
     assert "C6" in {v.constraint_id for v in record.violations}
+    assert record.violations == tuple(validate_claim(claim.triple, graph, constraints))
     assert not record.licensed
+
+
+def test_entailed_claim_is_looked_up_once(setting, monkeypatch):
+    graph, constraints, _, _ = setting
+    claim = claim_of("River_Colorado", "length", "2334000")
+    asked: list[Triple] = []
+    find = Graph.find_supporting
+    monkeypatch.setattr(
+        Graph, "find_supporting", lambda g, t: asked.append(t) or find(g, t)
+    )
+    assert audit_claim(graph, constraints, claim).licensed
+    assert asked == [claim.triple]
 
 
 # --- decide ----------------------------------------------------------------------
