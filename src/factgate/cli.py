@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from .constraints import ConstraintSet, parse_manifest, validate_graph
@@ -56,71 +55,80 @@ class CliError(Exception):
     """Input or configuration problem; maps to exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    graph: Graph
-    constraints: ConstraintSet
-    rules: list[PredicateRule]
-    lexicon: Lexicon
-
-
-def _load(parse: Callable[[str], T], path: str, what: str, label: str) -> T:
-    """`parse` over the text of the `what` file at `path`; a malformed line
-    or a byte that is not UTF-8 is an input error prefixed with `label`."""
+def _load(read: Callable[[str], T], path: str, what: str, label: str) -> T:
+    """`read(path)` for the `what` file at `path`. A file that cannot be
+    read is an input error, and so is a malformed line or a byte that is
+    not UTF-8, prefixed with `label`."""
     try:
-        return parse(read_utf8(path))
+        return read(path)
     except OSError as exc:
         raise CliError(f"cannot read {what} {path!r}: {exc}") from exc
     except ParseError as exc:
         raise CliError(f"{label} {path!r}: {exc}") from exc
 
 
-def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    graph = _load(parse_ntriples, args.graph, "graph", "graph")
-    labels = args.label_predicate or ["label"]
-    lexicon = build_lexicon(graph, [Iri(p) for p in labels])
-    return RunConfig(
-        graph=graph,
-        constraints=_load(
-            parse_manifest, args.constraints, "constraint manifest", "constraints"
-        ),
-        rules=_load(parse_rules, args.rules, "rule file", "rules"),
-        lexicon=lexicon,
+def _text(parse: Callable[[str], T]) -> Callable[[str], T]:
+    """`parse` over the text of the file at a path."""
+    return lambda path: parse(read_utf8(path))
+
+
+def _load_graph(args: argparse.Namespace) -> tuple[Graph, ConstraintSet]:
+    """The graph and its constraint manifest, which every subcommand reads."""
+    return (
+        _load(_text(parse_ntriples), args.graph, "graph", "graph"),
+        _load(_text(parse_manifest), args.constraints, "constraint manifest",
+              "constraints"),
     )
 
 
-# Each generator flag and the field it sets: of MockBehavior (or the mock's
-# answer key) without --endpoint, of GeneratorConfig with it. A flag not given
-# is absent from the parsed args, so its field keeps the dataclass's default.
+def _load_extraction(
+    args: argparse.Namespace, graph: Graph
+) -> tuple[Lexicon, list[PredicateRule]]:
+    """The lexicon and the predicate rules, which claim extraction reads."""
+    lexicon = build_lexicon(graph, [Iri(p) for p in args.label_predicate or ["label"]])
+    return lexicon, _load(_text(parse_rules), args.rules, "rule file", "rules")
+
+
+# Each run flag and the args field it sets. A run flag not given is absent
+# from the parsed args (argparse.SUPPRESS), so the field it sets keeps the
+# default of the dataclass or function it is passed to. The generator flags
+# set fields of MockBehavior (or the mock's answer key) without --endpoint,
+# of GeneratorConfig with it.
 _MOCK_FLAGS = {"--mock-mode": "mode", "--answer": "answer_key", "--seed": "seed",
                "--p-correct": "p_correct", "--p-hallucinate": "p_hallucinate"}
 _HTTP_FLAGS = {"--model": "model_name", "--api-key-env": "api_key_env",
                "--timeout": "timeout", "--retries": "max_retries"}
-# The flags only a live eval reads, so a re-score given one exits 2. A flag
-# not given is absent from the parsed args, or None (--endpoint).
-_LIVE_FLAGS = {"--endpoint": "endpoint", **_MOCK_FLAGS, **_HTTP_FLAGS,
-               "--jobs": "jobs", "--max-hops": "max_hops"}
+_RUN_FLAGS = {"--jobs": "jobs", "--max-hops": "max_hops"}
+# The flags only a live eval reads, so a re-score given one exits 2.
+_LIVE_FLAGS = {"--endpoint": "endpoint", **_MOCK_FLAGS, **_HTTP_FLAGS, **_RUN_FLAGS}
+
+
+def _given(args: argparse.Namespace, flags: dict[str, str]) -> dict[str, str]:
+    """The flags of `flags` that were given, each with its field."""
+    return {flag: field for flag, field in flags.items() if hasattr(args, field)}
+
+
+def _fields(args: argparse.Namespace, flags: dict[str, str]) -> dict:
+    """The value of each field set by a given flag of `flags`."""
+    return {field: getattr(args, field) for field in _given(args, flags).values()}
 
 
 def _generator_fields(args: argparse.Namespace) -> dict:
     """Fields set by the given flags of the generator --endpoint selects; a
     flag only the other generator reads is an input error, not ignored."""
-    http = args.endpoint is not None
+    http = hasattr(args, "endpoint")
     read, unread = (_HTTP_FLAGS, _MOCK_FLAGS) if http else (_MOCK_FLAGS, _HTTP_FLAGS)
-    if ignored := [flag for flag, field in unread.items() if hasattr(args, field)]:
+    if ignored := _given(args, unread):
         where = "with" if http else "without"
         raise CliError(f"{', '.join(ignored)}: not read {where} --endpoint")
-    return {field: getattr(args, field) for field in read.values() if hasattr(args, field)}
+    return _fields(args, read)
 
 
 # --- subcommands -------------------------------------------------------------
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    graph = _load(parse_ntriples, args.graph, "graph", "graph")
-    constraints = _load(
-        parse_manifest, args.constraints, "constraint manifest", "constraints"
-    )
+    graph, constraints = _load_graph(args)
     report = validate_graph(graph, constraints)
     print(
         f"triples={len(graph)} subjects={len({t.subject.value for t in graph})} "
@@ -137,21 +145,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_ask(args: argparse.Namespace) -> int:
     fields = _generator_fields(args)
-    config = _load_run_config(args)
-    if args.endpoint is not None:
+    graph, constraints = _load_graph(args)
+    lexicon, rules = _load_extraction(args, graph)
+    if hasattr(args, "endpoint"):
         generator = HttpGenerator(GeneratorConfig(args.endpoint, **fields))
     else:
         answer = fields.pop("answer_key", None)
-        generator = mock_generator(MockBehavior(**fields), answer, config.rules)
+        generator = mock_generator(MockBehavior(**fields), answer, rules)
     try:
         decision = run_pipeline(
-            args.question,
-            config.graph,
-            config.constraints,
-            generator,
-            config.lexicon,
-            config.rules,
-            max_hops=getattr(args, "max_hops", 3),
+            args.question, graph, constraints, generator, lexicon, rules,
+            **_fields(args, _RUN_FLAGS),
         )
     except GeneratorError as exc:
         print(f"generator failure: {exc}", file=sys.stderr)
@@ -168,22 +172,15 @@ def _write_log(records: list[ResultRecord], path: str) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if args.from_log and (live := [
-        flag for flag, field in _LIVE_FLAGS.items()
-        if getattr(args, field, None) is not None
-    ]):
+    if args.from_log and (live := _given(args, _LIVE_FLAGS)):
         raise CliError(f"{', '.join(live)}: not read with --from-log")
     fields = _generator_fields(args)
-    config = _load_run_config(args)
-    try:
-        dataset = load_dataset(args.dataset)
-    except OSError as exc:
-        raise CliError(f"cannot read dataset {args.dataset!r}: {exc}") from exc
-    except ParseError as exc:
-        raise CliError(f"dataset {args.dataset!r}: {exc}") from exc
+    graph, constraints = _load_graph(args)
+    lexicon, rules = _load_extraction(args, graph)
+    dataset = _load(load_dataset, args.dataset, "dataset", "dataset")
     # The metrics split items by their entailed flag, so it must hold.
     for item in dataset:
-        if item.gold_triple and config.graph.contains(item.gold_triple) != item.entailed:
+        if item.gold_triple and graph.contains(item.gold_triple) != item.entailed:
             raise CliError(
                 f"dataset {args.dataset!r}: item {item.id!r} is marked "
                 f"{'' if item.entailed else 'not '}entailed, but the graph "
@@ -191,10 +188,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             )
     condition = Condition(args.condition.upper())
     if args.from_log:
-        try:
-            records = read_result_log(args.from_log)
-        except (OSError, ParseError) as exc:
-            raise CliError(f"result log {args.from_log!r}: {exc}") from exc
+        records = _load(read_result_log, args.from_log, "result log", "result log")
         # A log is scored only as the condition that wrote it.
         logged = sorted({r.condition.value for r in records if r.condition})
         if logged and logged != [condition.value]:
@@ -203,23 +197,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"{' and '.join(logged)}; re-scored as {condition.value}"
             )
     else:
-        if args.endpoint is not None:
+        if hasattr(args, "endpoint"):
             http = HttpGenerator(GeneratorConfig(args.endpoint, **fields))
             factory = lambda item: http
         else:
-            factory = mock_factory(MockBehavior(**fields), rules=config.rules)
+            factory = mock_factory(MockBehavior(**fields), rules=rules)
         if args.output:
             _write_log([], args.output)  # unwritable: fail before any item runs
         records = run_condition(
-            condition,
-            dataset,
-            config.graph,
-            config.constraints,
-            factory,
-            config.lexicon,
-            config.rules,
-            max_hops=getattr(args, "max_hops", 3),
-            jobs=getattr(args, "jobs", 1),
+            condition, dataset, graph, constraints, factory, lexicon, rules,
+            **_fields(args, _RUN_FLAGS),
         )
     try:
         metrics = compute_metrics(dataset, records)
@@ -271,7 +258,9 @@ def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
             help="retrieval depth (default: 3); a reached class or node of "
             f"more than {HUB_DEGREE} triples is not expanded",
         )
-        parser.add_argument("--endpoint", default=None, help="chat completion URL")
+        parser.add_argument(
+            "--endpoint", default=argparse.SUPPRESS, help="chat completion URL"
+        )
         _add_generator_flag(parser, "--mock-mode", choices=[m.value for m in MockMode])
         _add_generator_flag(parser, "--p-correct", type=float)
         _add_generator_flag(parser, "--p-hallucinate", type=float)

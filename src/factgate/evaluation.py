@@ -204,6 +204,8 @@ def _read_jsonl(
             payload = json.loads(line, object_pairs_hook=_json_object)
         except json.JSONDecodeError as exc:
             raise ParseError(number, f"bad JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError(number, "bad JSON: nested too deep to decode") from exc
         except ValueError as exc:  # a key repeated in one object
             raise ParseError(number, str(exc)) from exc
         value = parse(payload, number)

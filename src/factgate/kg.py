@@ -133,7 +133,10 @@ def term_matches(graph_term: Term, query_term: Term) -> bool:
 
 # --- N-Triples subset ---------------------------------------------------
 
-_LINE_RE = re.compile(r"<([^<>]*)>\s+<([^<>]*)>\s+(.+?)\s*\.\s*$")
+# Matched against a stripped line. The object starts and ends with a
+# non-space character, so no two repeats can share a whitespace run, and a
+# malformed line is rejected in time linear in its length.
+_LINE_RE = re.compile(r"<([^<>]*)>\s+<([^<>]*)>\s+(\S(?:.*\S)?)\s*\.$")
 _LITERAL_OBJ_RE = re.compile(r'"((?:[^"\\]|\\.)*)"(?:\^\^<([^<>]*)>)?\Z')
 
 _ESCAPE_SEQ_RE = re.compile(r"\\(.?)", re.DOTALL)

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from factgate.cli import main
 
 from conftest import FIXTURES, REPO_ROOT
@@ -637,6 +639,48 @@ def test_eval_missing_dataset_is_exit_2(capsys):
     )
     assert code == 2
 
+
+
+@pytest.mark.parametrize(
+    "flag, what",
+    [
+        ("--graph", "graph"),
+        ("--constraints", "constraint manifest"),
+        ("--rules", "rule file"),
+        ("--dataset", "dataset"),
+        ("--from-log", "result log"),
+    ],
+)
+def test_eval_unreadable_input_is_exit_2(tmp_path, capsys, flag, what):
+    log = tmp_path / "log.jsonl"
+    assert main(eval_args("--condition", "oracle", "--output", str(log))) == 0
+    capsys.readouterr()
+    args = eval_args("--condition", "oracle", "--from-log", str(log))
+    missing = str(tmp_path / "missing")
+    args[args.index(flag) + 1] = missing
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert f"cannot read {what} {missing!r}" in err
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--dataset", "--from-log"])
+def test_eval_json_nested_too_deep_is_exit_2(tmp_path, flag):
+    # A line json.loads cannot decode without exceeding the recursion limit.
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    dataset = deep if flag == "--dataset" else RIVERS / "qa.jsonl"
+    args = ["--dataset", str(dataset), "--condition", "oracle"]
+    if flag == "--from-log":
+        args += ["--from-log", str(deep)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "factgate", "eval"] + rivers_rules_args() + args,
+        capture_output=True, text=True, cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 2
+    assert f"{str(deep)!r}: line 1: bad JSON: nested too deep" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 # --- end-to-end process ---------------------------------------------------------
 

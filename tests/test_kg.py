@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factgate.kg import (
+    _LINE_RE,
     HUB_DEGREE,
     NUMERIC_REL_TOL,
     RDF_TYPE,
@@ -30,6 +33,8 @@ from factgate.kg import (
     triple_sort_key,
     triple_to_ntriples,
 )
+
+from conftest import REPO_ROOT
 
 
 def lit(value: str, datatype: Datatype = Datatype.DECIMAL) -> Literal:
@@ -278,6 +283,59 @@ def test_parse_agrees_with_the_per_line_reader(text):
         with pytest.raises(ParseError) as err:
             parse_ntriples(text)
         assert (err.value.line, err.value.reason) == error
+
+
+
+# The line grammar before it was made linear, kept as the reference: on a
+# malformed line with a long whitespace run it backtracks quadratically.
+_BACKTRACKING_LINE_RE = re.compile(r"<([^<>]*)>\s+<([^<>]*)>\s+(.+?)\s*\.\s*$")
+_LINE_PIECES = [
+    "<s> <p> ", "<", ">", "<a>", " ", "  ", "\t", "\u00a0", "\n", ".", " .",
+    "x", '"', "\\", "^^", "#",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_LINE_PIECES), max_size=12).map("".join))
+@example("<s> <p> \t .")
+def test_line_grammar_agrees_with_the_backtracking_reference(text):
+    line = text.strip()  # both grammars read stripped lines
+    reference = _BACKTRACKING_LINE_RE.match(line)
+    m = _LINE_RE.match(line)
+    if reference is not None and not reference.group(3).strip():
+        # An object of whitespace alone: the reference matched it, and
+        # _parse_object rejected it one step later.
+        assert m is None
+    else:
+        assert (m and m.groups()) == (reference and reference.groups())
+
+
+# Timed in a child process: a regex that backtracks holds the GIL for
+# minutes on this line, so only a kill ends it.
+_PARSE_LONG_LINE = """
+import time
+from factgate.kg import ParseError, parse_ntriples, parse_ntriples_line
+line = "<a> <b> x" + " " * 999_990 + "y"
+assert len(line) == 1_000_000
+start = time.perf_counter()
+for parse, error in ((parse_ntriples, ParseError), (parse_ntriples_line, ValueError)):
+    try:
+        parse(line)
+    except error as exc:
+        assert "expected `<subject>" in str(exc), exc
+    else:
+        raise AssertionError(f"{parse.__name__} read the line")
+print(time.perf_counter() - start)
+"""
+
+
+def test_long_malformed_line_is_rejected_in_linear_time():
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSE_LONG_LINE],
+        capture_output=True, text=True, timeout=30, cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 2
 
 
 # --- entailment ----------------------------------------------------------
