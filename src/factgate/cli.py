@@ -85,7 +85,7 @@ def _load_extraction(
     args: argparse.Namespace, graph: Graph
 ) -> tuple[Lexicon, list[PredicateRule]]:
     """The lexicon and the predicate rules, which claim extraction reads."""
-    lexicon = build_lexicon(graph, [Iri(p) for p in args.label_predicate or ["label"]])
+    lexicon = build_lexicon(graph, args.label_predicate or [Iri("label")])
     return lexicon, _load(_text(parse_rules), args.rules, "rule file", "rules")
 
 
@@ -248,7 +248,7 @@ def _add_common(parser: argparse.ArgumentParser, rules: bool) -> None:
         parser.add_argument(
             "--label-predicate",
             action="append",
-            default=None,
+            type=Iri,
             help="label predicate IRI for the lexicon (repeatable; default: label)",
         )
         parser.add_argument(

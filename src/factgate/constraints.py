@@ -14,9 +14,9 @@ violations that asserting it would add, found by re-checking only the units
 around its subject, up to the term equality entailment uses (term_matches):
 a claim the graph entails adds nothing, however its number is spelled.
 
-Bound and ordering checks use exact decimal comparison; only numeric
-*equality* elsewhere is tolerant. Nodes missing a constrained property are
-skipped, except under ConditionalRequirement which demands presence.
+Bound and ordering checks, like entailment, compare exact decimal values.
+Nodes missing a constrained property are skipped, except under
+ConditionalRequirement which demands presence.
 """
 
 from __future__ import annotations

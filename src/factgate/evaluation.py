@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -37,6 +38,7 @@ from .extraction import NUMBER_TOKEN_RE, Lexicon, PredicateRule
 from .gate import Verdict, build_context, run_pipeline
 from .generators import GeneratorError, GeneratorFn, MockBehavior, mock_generator
 from .kg import (
+    EXACT,
     Graph,
     ParseError,
     Triple,
@@ -126,11 +128,16 @@ class EvalMetrics:
 # --- dataset and log IO -------------------------------------------------------
 
 
+def _rejected(line: int, key: str, want: str, value: object) -> ParseError:
+    """The error for a field that is not `want`, its value echoed short."""
+    return ParseError(line, f"{key!r} must be {want}, got {reprlib.repr(value)}")
+
+
 def _flag(payload: dict, key: str, line: int) -> bool:
     """A true/false field, false when absent; anything else fails closed."""
     value = payload.get(key, False)
     if not isinstance(value, bool):
-        raise ParseError(line, f"{key!r} must be true or false, got {value!r}")
+        raise _rejected(line, key, "true or false", value)
     return value
 
 
@@ -138,9 +145,7 @@ def _optional_flag(payload: dict, key: str, line: int) -> bool | None:
     """A true/false/null field, null when absent."""
     value = payload.get(key)
     if value is not None and not isinstance(value, bool):
-        raise ParseError(
-            line, f"{key!r} must be true, false or null, got {value!r}"
-        )
+        raise _rejected(line, key, "true, false or null", value)
     return value
 
 
@@ -149,8 +154,16 @@ def _string(payload: dict, key: str, line: int) -> str:
     grade every response correct."""
     value = payload[key]
     if not isinstance(value, str) or not value.strip():
-        raise ParseError(line, f"{key!r} must be a non-blank string, got {value!r}")
+        raise _rejected(line, key, "a non-blank string", value)
     return value
+
+
+def _member(kind: type[T], payload: dict, key: str, line: int) -> T:
+    """A field holding the value of a member of the str enum `kind`."""
+    try:
+        return kind(payload[key])
+    except ValueError:
+        raise _rejected(line, key, "one of " + ", ".join(kind), payload[key]) from None
 
 
 def _parse_item(payload: dict, line: int) -> QAItem:
@@ -210,7 +223,7 @@ def _read_jsonl(
             raise ParseError(number, str(exc)) from exc
         value = parse(payload, number)
         if (value_key := key(value)) in seen:
-            raise ParseError(number, f"duplicate item id {value_key!r}")
+            raise ParseError(number, f"duplicate item id {reprlib.repr(value_key)}")
         seen.add(value_key)
         values.append(value)
     return values
@@ -227,7 +240,7 @@ def record_from_dict(payload: dict, line: int = 0) -> ResultRecord:
     try:
         return ResultRecord(
             item_id=_string(payload, "item_id", line),
-            responded=Responded(payload["responded"]),
+            responded=_member(Responded, payload, "responded", line),
             correct=_optional_flag(payload, "correct", line),
             licensed=_flag(payload, "licensed", line),
             rejected_violation=_flag(payload, "rejected_violation", line),
@@ -237,7 +250,7 @@ def record_from_dict(payload: dict, line: int = 0) -> ResultRecord:
             failed=_flag(payload, "failed", line),
             condition=(
                 None if payload.get("condition") is None
-                else Condition(payload["condition"])
+                else _member(Condition, payload, "condition", line)
             ),
         )
     except (KeyError, ValueError) as exc:
@@ -261,14 +274,14 @@ def read_result_log(path: str | Path) -> list[ResultRecord]:
 
 def _normalize_answer(text: str) -> str:
     lowered = NUMBER_TOKEN_RE.sub(
-        lambda m: decimal_lexical(Decimal(m.group(0)).normalize()), text.lower()
+        lambda m: decimal_lexical(EXACT.normalize(Decimal(m.group(0)))), text.lower()
     )
     return re.sub(r"\s+", " ", lowered).strip()
 
 
 def answer_matches(response: str, gold_answer: str) -> bool:
     """Containment grading: the normalized gold answer appears in the
-    normalized response. Case-folded; numbers compared in canonical form."""
+    normalized response. Case-folded; numbers compared in exact canonical form."""
     return _normalize_answer(gold_answer) in _normalize_answer(response)
 
 
@@ -388,7 +401,7 @@ def compute_metrics(
     by_id: dict[str, QAItem] = {}
     for item in dataset:
         if item.id in by_id:
-            raise ValueError(f"duplicate dataset item id {item.id!r}")
+            raise ValueError(f"duplicate dataset item id {reprlib.repr(item.id)}")
         by_id[item.id] = item
     seen: set[str] = set()
     c: Counter[str] = Counter()
@@ -396,9 +409,9 @@ def compute_metrics(
         item_id = record.item_id
         item = by_id.get(item_id)
         if item is None:
-            raise ValueError(f"result record references unknown item {item_id!r}")
+            raise ValueError(f"result record of unknown item {reprlib.repr(item_id)}")
         if item_id in seen:
-            raise ValueError(f"duplicate item id {item_id!r}")
+            raise ValueError(f"duplicate item id {reprlib.repr(item_id)}")
         seen.add(item_id)
         c["total"] += 1
         answered = record.responded is Responded.ANSWERED
@@ -429,7 +442,7 @@ def compute_metrics(
     if missing := [item.id for item in dataset if item.id not in seen]:
         raise ValueError(
             f"covers {len(seen)} of {len(dataset)} dataset items; "
-            f"first missing {missing[0]!r}"
+            f"first missing {reprlib.repr(missing[0])}"
         )
     counts = MetricCounts(**c)
     return EvalMetrics(

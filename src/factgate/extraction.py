@@ -3,8 +3,8 @@
 Factual triples are pulled out of free text by matching predicate patterns
 (`SUBJ is OBJ km long`) whose entity slots must resolve through an alias
 lexicon derived from the graph's labeled entities. Numeric objects are
-normalized at extraction time via each rule's unit scale, so downstream
-entailment checks compare like with like.
+multiplied exactly by each rule's unit scale at extraction time, so
+downstream entailment checks compare like with like.
 
 The extractor is deliberately dumb and deterministic: anything it cannot
 resolve is dropped, never invented. The licensing gate depends only on the
@@ -20,6 +20,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .kg import (
+    EXACT,
     Datatype,
     Graph,
     Iri,
@@ -317,7 +318,7 @@ def extract_claims(
             found = dict(zip(slots, values))
             obj: Iri | Literal
             if numeric:
-                value = parse_decimal(found["OBJ"]) * rule.unit_scale
+                value = EXACT.multiply(parse_decimal(found["OBJ"]), rule.unit_scale)
                 obj = Literal(decimal_lexical(value), Datatype.DECIMAL)
             else:
                 obj = lexicon.alias_to_iri[found["OBJ"]]
@@ -385,7 +386,7 @@ def rule_for_triple(
         if rule.predicate != triple.predicate:
             continue
         if rule.object_kind == "numeric":
-            if isinstance(triple.object, Literal) and triple.object.is_numeric:
+            if isinstance(triple.object, Literal) and triple.object.numeric is not None:
                 return rule
         elif isinstance(triple.object, Iri):
             return rule
@@ -401,8 +402,7 @@ def verbalize_triple(triple: Triple, rule: PredicateRule) -> str:
     subj_text = local_name(triple.subject).replace("_", " ")
     if rule.object_kind == "numeric":
         assert isinstance(triple.object, Literal) and triple.object.numeric is not None
-        value = (triple.object.numeric / rule.unit_scale).normalize()
-        obj_text = decimal_lexical(value)
+        obj_text = decimal_lexical((triple.object.numeric / rule.unit_scale).normalize())
     else:
         assert isinstance(triple.object, Iri)
         obj_text = local_name(triple.object).replace("_", " ")

@@ -28,7 +28,7 @@ from .extraction import (
     rule_for_triple,
     verbalize_triple,
 )
-from .kg import ParseError, content_lines, decimal_lexical, parse_ntriples_line
+from .kg import EXACT, ParseError, content_lines, decimal_lexical, parse_ntriples_line
 
 GeneratorFn = Callable[[str, str], str]
 
@@ -112,7 +112,7 @@ def corrupt_number(text: str) -> str:
     m = NUMBER_TOKEN_RE.search(text)
     if m is None:
         return _NO_NUMBER_CORRUPTION
-    doubled = decimal_lexical((Decimal(m.group(0)) * 2).normalize())
+    doubled = decimal_lexical(EXACT.normalize(EXACT.multiply(Decimal(m.group(0)), 2)))
     return text[: m.start()] + doubled + text[m.end() :]
 
 

@@ -3,7 +3,7 @@
 Holds an immutable, indexed set of (subject, predicate, object) triples
 parsed from a flat N-Triples subset (no prefixes, no blank nodes, no
 language tags). The store answers three questions: does a triple hold
-(entailment, tolerant for numbers), which triples of a predicate have a
+(entailment, numbers by exact value), which triples of a predicate have a
 given subject or object, and what lies within k hops of some entities.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from enum import Enum
 from itertools import chain, filterfalse
 from pathlib import Path
@@ -24,10 +24,6 @@ XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 
 # Retrieval never expands a non-seed node of more incident triples.
 HUB_DEGREE = 64
-
-# Relative tolerance for numeric literal matching. Bound checks elsewhere
-# use exact decimal comparison; only *equality* is tolerant.
-NUMERIC_REL_TOL = Decimal("1e-9")
 
 # xsd:decimal / xsd:integer lexical forms (no exponent, no NaN/Inf).
 _DECIMAL_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)\Z")
@@ -93,10 +89,6 @@ class Literal:
             )
         object.__setattr__(self, "numeric", Decimal(self.lexical))
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.numeric is not None
-
 
 Term = Iri | Literal
 
@@ -108,27 +100,16 @@ class Triple:
     object: Term
 
 
-def numbers_close(a: Decimal, b: Decimal) -> bool:
-    """Equality within NUMERIC_REL_TOL relative tolerance, in exact decimal
-    arithmetic: |a - b| <= tol * max(|a|, |b|)."""
-    if a == b:
-        return True
-    return abs(a - b) <= NUMERIC_REL_TOL * max(abs(a), abs(b))
-
-
 def term_matches(graph_term: Term, query_term: Term) -> bool:
     """Term equality used by entailment and pattern matching.
 
-    IRIs and string literals compare byte-equal; numeric literals compare
-    on their decimal values within relative tolerance.
+    IRIs and strings compare byte-equal, numbers by exact decimal value
+    (`"5"`, `"5.0"`, `"5"^^xsd:integer` are one); a number is no string.
     """
-    if isinstance(graph_term, Iri) or isinstance(query_term, Iri):
-        return graph_term == query_term
-    if graph_term.is_numeric and query_term.is_numeric:
-        return numbers_close(graph_term.numeric, query_term.numeric)
-    if graph_term.is_numeric or query_term.is_numeric:
-        return False
-    return graph_term.lexical == query_term.lexical
+    if isinstance(graph_term, Literal) and isinstance(query_term, Literal):
+        if graph_term.numeric is not None or query_term.numeric is not None:
+            return graph_term.numeric == query_term.numeric
+    return graph_term == query_term
 
 
 # --- N-Triples subset ---------------------------------------------------
@@ -512,7 +493,7 @@ class Graph:
         return hits[0] if hits else None
 
     def contains(self, triple: Triple) -> bool:
-        """Entailment check: membership with tolerant numeric matching."""
+        """Entailment check: membership, numbers compared by exact value."""
         return self.find_supporting(triple) is not None
 
 
@@ -571,6 +552,11 @@ def parse_decimal(text: str) -> Decimal:
     if not _DECIMAL_RE.match(text):
         raise ValueError(f"not a plain decimal: {text!r}")
     return Decimal(text)
+
+
+# Unit scaling and normalizing run in EXACT, whose precision and exponent
+# range no number reaches: nothing rounds. Never divide in it (x/3 never ends).
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def decimal_lexical(value: Decimal) -> str:

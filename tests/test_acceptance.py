@@ -1,7 +1,7 @@
 """Acceptance suite.
 
-Each test implements one numbered acceptance criterion at its stated
-tolerance and prints a single pass/fail line (visible with `pytest -s`).
+Each test implements one numbered acceptance criterion against its stated
+bound and prints a single pass/fail line (visible with `pytest -s`).
 Criteria 1 and 2 share one batch of gated runs.
 """
 

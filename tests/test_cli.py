@@ -153,6 +153,25 @@ def test_ask_fabricated_fact_abstains(capsys):
     assert record["abstain_reason"] == "NO_EVIDENCE"
 
 
+@pytest.mark.parametrize(
+    "number, code",
+    [("2334", 0), ("2334.000002", 3), ("2334.00000000000000000000000001", 3)],
+)
+def test_ask_licenses_only_the_stored_number(capsys, number, code):
+    # The graph holds "2334000.0" (meters) and the rule's scale is 1000: a
+    # number off in any digit, the 30th too, is not entailed.
+    assert main(
+        ["ask"] + rivers_rules_args()
+        + [
+            "--mock-mode", "fixed",
+            "--answer", f"Colorado River is {number} km long.",
+            "How long is the Colorado River?",
+        ]
+    ) == code
+    record = json.loads(capsys.readouterr().out)
+    assert record["abstain_reason"] == (None if code == 0 else "NO_EVIDENCE")
+
+
 def test_respelled_dirty_fact_answers_in_every_spelling(tmp_path, capsys):
     # The stored "-5.0" breaks C2. A claim restating it in any spelling is
     # entailed, adds no violation, and answers.
@@ -313,6 +332,14 @@ def test_label_predicate_flag_replaces_config_list(capsys):
     assert ask() == 0
     assert ask("--label-predicate", "nolabel") == 3
     assert ask("--label-predicate", "nolabel", "--label-predicate", "label") == 0
+
+
+@pytest.mark.parametrize("iri", ["a b", ""])
+def test_invalid_label_predicate_names_the_flag(capsys, iri):
+    code = main(["ask"] + rivers_rules_args() + ["--label-predicate", iri, "q?"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"argument --label-predicate: invalid Iri value: {iri!r}" in err
 
 
 # --- eval --------------------------------------------------------------------

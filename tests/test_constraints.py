@@ -33,11 +33,11 @@ from factgate.kg import (
     ParseError,
     Triple,
     parse_ntriples,
-    term_matches,
     triple_sort_key,
 )
 
 from conftest import FIXTURES
+from test_kg import same_term
 
 TYPE = f"<{RDF_TYPE_IRI}>"
 
@@ -260,7 +260,7 @@ def test_max_inclusive_bound():
 
 
 def test_min_exclusive_boundary_is_exact():
-    # Bound checks never apply the matching tolerance: exactly 0 fails > 0.
+    # Bounds compare exact values: exactly 0 fails > 0.
     g = parse_ntriples(river("River_A", sourceElevation="0"))
     report = validate_graph(g, parse_manifest(RIVER_MANIFEST))
     assert [v.constraint_id for v in report.violations] == ["C2"]
@@ -473,12 +473,12 @@ P2 less_than_property class=<Philosopher> lesser=<birthYear> greater=<deathYear>
 
 def brute_force_claim_violations(claim, graph, constraints) -> list:
     """validate_claim's definition, computed the slow way: nothing for a
-    claim that a stored triple entails (a scan under term_matches);
+    claim that a stored triple entails (a scan under same_term);
     otherwise the violations of the graph with the claim asserted that the
     graph alone does not have, once each, in validate_graph's order."""
     if any(
         (t.subject, t.predicate) == (claim.subject, claim.predicate)
-        and term_matches(t.object, claim.object)
+        and same_term(t.object, claim.object)
         for t in graph
     ):
         return []
@@ -715,7 +715,7 @@ def _by_value(v: Violation) -> tuple:
     """A violation with its message dropped and its triple's number read by
     value: what stays the same when a claim's number is respelled."""
     o = v.triple.object
-    value = o.numeric if isinstance(o, Literal) and o.is_numeric else o
+    value = o.numeric if isinstance(o, Literal) and o.numeric is not None else o
     return v.constraint_id, v.focus, v.triple.subject, v.triple.predicate, value
 
 
@@ -770,7 +770,7 @@ def reference_report(graph: Graph, constraints) -> ValidationReport:
             t.object.numeric
             for t in triples
             if t.subject == node and t.predicate == prop
-            and isinstance(t.object, Literal) and t.object.is_numeric
+            and isinstance(t.object, Literal) and t.object.numeric is not None
         ]
 
     def units(prop, cls=None) -> list:

@@ -138,6 +138,53 @@ def test_dataset_text_fields_must_be_non_blank_strings(tmp_path, field, value):
     assert f"{field!r} must be a non-blank string" in str(err.value)
 
 
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_ITEM = {"id": "a", "question": "q?", "gold_answer": "x", "entailed": False}
+_RECORD = {"item_id": "a", "responded": "ABSTAINED"}
+
+
+@pytest.mark.parametrize("load, row, key", [
+    (load_dataset, {**_ITEM, "gold_answer": _nested(300)}, "gold_answer"),
+    (load_dataset, {**_ITEM, "question": {"x" * 50_000: 1}}, "question"),
+    (load_dataset, {**_ITEM, "entailed": "x" * 50_000}, "entailed"),
+    (read_result_log, {**_RECORD, "responded": "x" * 50_000}, "responded"),
+    (read_result_log, {**_RECORD, "condition": ["x"] * 50_000}, "condition"),
+    (read_result_log, {**_RECORD, "correct": "x" * 50_000}, "correct"),
+    (read_result_log, {**_RECORD, "item_id": _nested(300)}, "item_id"),
+])
+def test_rejected_value_is_echoed_short(tmp_path, load, row, key):
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(ParseError) as err:
+        load(path)
+    message = str(err.value)
+    assert message.startswith(f"line 1: {key!r} must be ")
+    assert len(message) < 150
+
+
+def test_rejected_item_id_is_echoed_short(tmp_path):
+    long_id = "x" * 50_000
+    path = tmp_path / "d.jsonl"
+    path.write_text(2 * (json.dumps({**_ITEM, "id": long_id}) + "\n"))
+    with pytest.raises(ParseError, match="line 2: duplicate item id") as err:
+        load_dataset(path)
+    assert len(str(err.value)) < 100
+    item = QAItem(long_id, "q?", "x", False)
+    record = ResultRecord(long_id, Responded.ABSTAINED, None, False)
+    for dataset, records in [
+        ([item, item], []), ([item], [record, record]), ([], [record]), ([item], []),
+    ]:
+        with pytest.raises(ValueError) as err:
+            compute_metrics(dataset, records)
+        assert len(str(err.value)) < 100
+
+
 def test_dataset_lines_end_only_at_newlines(tmp_path):
     # A JSON string may hold U+2028, U+2029 and U+0085 raw, which
     # str.splitlines() breaks at; only \n, \r\n and \r end a line.
@@ -182,6 +229,11 @@ def test_non_object_lines_are_dataset_errors(tmp_path):
          "Colorado River is 2334 km long.", True),
         ("Colorado River is 4668 km long.", "Colorado River is 2334 km long.", False),
         ("I don't know", "Colorado River is 2334 km long.", False),
+        # Numbers are normalized exactly: the 30th digit counts.
+        ("Colorado River is 2334 km long.",
+         "Colorado River is 2334.00000000000000000000000001 km long.", False),
+        ("Colorado River is 2334.00000000000000000000000001 km long.",
+         "Colorado River is 2334 km long.", False),
     ],
 )
 def test_answer_matching(response, gold, expected):

@@ -6,15 +6,16 @@ import subprocess
 import sys
 from collections import Counter
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from factgate.extraction import PredicateRule, build_lexicon, extract_claims
 from factgate.kg import (
     _LINE_RE,
     HUB_DEGREE,
-    NUMERIC_REL_TOL,
     RDF_TYPE,
     Datatype,
     Graph,
@@ -22,13 +23,11 @@ from factgate.kg import (
     Literal,
     ParseError,
     Triple,
-    numbers_close,
     parse_ntriples,
     parse_ntriples_line,
     retrieve_subgraph,
     Subgraph,
     serialize_ntriples,
-    term_matches,
     term_to_ntriples,
     triple_sort_key,
     triple_to_ntriples,
@@ -41,6 +40,17 @@ def lit(value: str, datatype: Datatype = Datatype.DECIMAL) -> Literal:
     return Literal(value, datatype)
 
 
+def same_term(a, b) -> bool:
+    """Term equality spelled out for the scan oracles: IRIs by value, two
+    numbers by Decimal value, two strings by lexical form; a number never
+    equals a string."""
+    if isinstance(a, Iri) or isinstance(b, Iri):
+        return a == b
+    if a.datatype is Datatype.STRING or b.datatype is Datatype.STRING:
+        return a.datatype is b.datatype and a.lexical == b.lexical
+    return Decimal(a.lexical) == Decimal(b.lexical)
+
+
 def scan_match(graph, s=None, p=None, o=None):
     """Linear-scan oracle for match()."""
     return [
@@ -48,7 +58,7 @@ def scan_match(graph, s=None, p=None, o=None):
         for t in graph
         if (s is None or t.subject == s)
         and (p is None or t.predicate == p)
-        and (o is None or term_matches(t.object, o))
+        and (o is None or same_term(t.object, o))
     ]
 
 
@@ -63,7 +73,7 @@ def scan_contains(graph, triple):
     return any(
         t.subject == triple.subject
         and t.predicate == triple.predicate
-        and term_matches(t.object, triple.object)
+        and same_term(t.object, triple.object)
         for t in graph
     )
 
@@ -351,17 +361,14 @@ def test_contains_empty_graph_is_false():
     assert not g.contains(Triple(Iri("a"), Iri("p"), Iri("b")))
 
 
-def test_contains_within_relative_tolerance(river_sample):
-    # Oracle: direct decimal arithmetic confirming the perturbed value is
-    # within 1e-9 relative tolerance of the stored one.
-    stored = Decimal("2334000.0")
-    probe = Decimal("2334000.0000000001")
-    assert abs(stored - probe) <= NUMERIC_REL_TOL * max(abs(stored), abs(probe))
+def test_contains_rejects_a_value_off_in_the_17th_digit(river_sample):
+    # A number entails only its own value, however close another one is:
+    # this one is within one part in 1e16 of the stored "2334000.0".
     claim = Triple(Iri("River_Colorado"), Iri("length"), lit("2334000.0000000001"))
-    assert river_sample.contains(claim)
+    assert not river_sample.contains(claim)
 
 
-def test_contains_rejects_values_outside_tolerance(river_sample):
+def test_contains_rejects_a_different_value(river_sample):
     claim = Triple(Iri("River_Colorado"), Iri("length"), lit("2334001"))
     assert not river_sample.contains(claim)
 
@@ -377,9 +384,89 @@ def test_integer_and_decimal_literals_match_numerically():
     assert g.contains(Triple(Iri("a"), Iri("p"), lit("5.0")))
 
 
-def test_numbers_close_zero_cases():
-    assert numbers_close(Decimal("0"), Decimal("0"))
-    assert not numbers_close(Decimal("0"), Decimal("1e-15"))
+def test_contains_zero_cases():
+    g = parse_ntriples('<a> <p> "0" .')
+    for zero in ("0", "0.000", "-0", "+0.0"):
+        assert g.contains(Triple(Iri("a"), Iri("p"), lit(zero)))
+    assert not g.contains(Triple(Iri("a"), Iri("p"), lit("0.000000000000001")))
+
+
+# Plain decimals of up to 36 digits, past Decimal's default 28.
+_plain_decimals = st.builds(
+    lambda sign, whole, frac: sign + whole + ("." + frac if frac else ""),
+    st.sampled_from(["", "-"]),
+    st.text("0123456789", min_size=1, max_size=18),
+    st.text("0123456789", max_size=18),
+)
+
+
+def _shifted(lexical: str, k: int) -> str:
+    """`lexical` times 10**k, spelled by moving its decimal point."""
+    sign = "-" if lexical.startswith("-") else ""
+    whole, _, frac = lexical.removeprefix("-").partition(".")
+    digits = "000" + whole + frac + "0000"
+    point = 3 + len(whole) + k
+    return f"{sign}{digits[:point]}.{digits[point:]}"
+
+
+def _respelled(lexical: str, zeros: int) -> str:
+    """The same value with `zeros` more leading and trailing zeros."""
+    sign = "-" if lexical.startswith("-") else ""
+    body = lexical.removeprefix("-")
+    point = "." if zeros and "." not in body else ""
+    return f"{sign}{'0' * zeros}{body}{point}{'0' * zeros}"
+
+
+def _changed(lexical: str, at: int, digit: str, tail: str) -> str:
+    """Another value: the digit at index `at` becomes `digit`, or, where that
+    changes nothing, the nonzero `tail` is appended to the fraction."""
+    if at < len(lexical) and lexical[at].isdigit() and lexical[at] != digit:
+        return lexical[:at] + digit + lexical[at + 1 :]
+    return lexical + ("" if "." in lexical else ".") + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stored=st.lists(_plain_decimals, min_size=1, max_size=3),
+    pick=st.integers(0, 2),
+    change=st.booleans(),
+    at=st.integers(0, 40),
+    digit=st.sampled_from("0123456789"),
+    tail=st.sampled_from("123456789"),
+    zeros=st.integers(0, 3),
+    scale=st.sampled_from([0, 3, -3]),
+    via_text=st.booleans(),
+)
+@example(stored=["2334." + "0" * 25], pick=0, change=True, at=99, digit="0",
+         tail="1", zeros=0, scale=3, via_text=True)
+@example(stored=["2334." + "0" * 25], pick=0, change=True, at=99, digit="0",
+         tail="1", zeros=0, scale=0, via_text=False)
+def test_a_number_entails_exactly_its_own_value(
+    stored, pick, change, at, digit, tail, zeros, scale, via_text
+):
+    """A stated number is entailed iff a stored one has its value: one that
+    differs at any digit, the 29th and later too, is not, and any spelling
+    of a stored one is. The number is stated as a literal or in a sentence
+    read by a rule of scale 10**scale, which the stored values carry."""
+    stated = stored[pick % len(stored)]
+    probe = _changed(stated, at, digit, tail) if change else _respelled(stated, zeros)
+    rio, length = Iri("Rio"), Iri("length")
+    graph = Graph(
+        [Triple(rio, length, lit(_shifted(v, scale))) for v in stored]
+        + [Triple(rio, Iri("label"), Literal("Rio"))]
+    )
+    if via_text:
+        rule = PredicateRule(
+            "R", "SUBJ is OBJ km long", length, "numeric", Decimal(10) ** scale
+        )
+        lexicon = build_lexicon(graph, [Iri("label")])
+        [claim] = extract_claims(f"Rio is {probe} km long.", lexicon, [rule])
+        triple = claim.triple
+    else:
+        triple = Triple(rio, length, lit(_shifted(probe, scale)))
+    held = any(Fraction(probe) == Fraction(v) for v in stored)
+    assert held or change
+    assert graph.contains(triple) is held
 
 
 def test_entailment_monotone_under_graph_growth():
