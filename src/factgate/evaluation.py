@@ -72,11 +72,15 @@ class QAItem:
     violates_constraints: bool = False
 
     def __post_init__(self) -> None:
+        # The id is echoed short: it comes from the dataset file.
         if self.entailed and self.gold_triple is None:
-            raise ValueError(f"{self.id}: entailed item needs a gold triple")
+            raise ValueError(
+                f"{reprlib.repr(self.id)}: entailed item needs a gold triple"
+            )
         if self.violates_constraints and self.entailed:
             raise ValueError(
-                f"{self.id}: a constraint-violating item cannot be entailed"
+                f"{reprlib.repr(self.id)}: a constraint-violating item cannot be "
+                "entailed"
             )
 
 
@@ -94,10 +98,15 @@ class ResultRecord:
     condition: Condition | None = None
 
     def __post_init__(self) -> None:
+        # The id is echoed short: it comes from the result log.
         if self.responded is Responded.ABSTAINED and self.correct is not None:
-            raise ValueError(f"{self.item_id}: abstained records carry no grade")
+            raise ValueError(
+                f"{reprlib.repr(self.item_id)}: abstained records carry no grade"
+            )
         if self.responded is Responded.ANSWERED and self.correct is None:
-            raise ValueError(f"{self.item_id}: answered records need a grade")
+            raise ValueError(
+                f"{reprlib.repr(self.item_id)}: answered records need a grade"
+            )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .kg import (
@@ -135,6 +135,15 @@ def _fold(ch: str) -> str:
 # splits back into its keys one way.
 _KEY_END = "\0"
 
+
+@lru_cache(maxsize=4096)
+def _fold_key(ch: str) -> str:
+    """`_fold(ch)` closed by `_KEY_END`, cached: a text repeats few distinct
+    characters. The bound keeps text spanning all of Unicode from growing
+    the cache without limit."""
+    return _fold(ch) + _KEY_END
+
+
 # A scan of one text: for a position, each value a slot can take there with
 # its end, in the order a regex backtracks through them.
 _Scan = Callable[[int], list[tuple[str, int]]]
@@ -188,11 +197,12 @@ class Lexicon:
 
     def _scan(self, text: str) -> _Scan:
         """A memoized alias scan of `text`, in the preference order of an
-        alternation sorted by (-len(alias), alias). A space in an alias
-        consumes a whole whitespace run, as `\\s+` does in the alternation:
-        a shorter run is followed by whitespace, which no alias character
-        matches."""
-        keys = [_fold(c) + _KEY_END for c in text]
+        alternation sorted by (-len(alias), alias). The text is keyed
+        through `_fold_key`, whose process-wide cache folds a character once
+        while it stays cached. A space in an alias consumes a whole
+        whitespace run, as `\\s+` does in the alternation: a shorter run is
+        followed by whitespace, which no alias character matches."""
+        keys = list(map(_fold_key, text))
         space = " " + _KEY_END
         n = len(keys)
         trie = self._trie
@@ -273,7 +283,13 @@ def _matches(
     Each slot backtracks over its scan's values in order. A segment is taken
     at its first match only: it is literal text, so before a slot it can end
     elsewhere only inside a whitespace run, where no slot value starts.
+
+    A match of the joined regex holds a match of every segment, and each
+    segment carries its own boundary, so a text in which some segment after
+    the first has no match anywhere yields nothing, and is not scanned.
     """
+    if not all(segment.search(text) for segment in segments[1:]):
+        return
 
     def rest(k: int, pos: int) -> tuple[list[str], int] | None:
         for value, end in scans[k](pos):

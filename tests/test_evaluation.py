@@ -185,6 +185,34 @@ def test_rejected_item_id_is_echoed_short(tmp_path):
         assert len(str(err.value)) < 100
 
 
+_LONG_ID = "x" * 50_000
+
+
+@pytest.mark.parametrize("load, row, reason", [
+    (load_dataset, {**_ITEM, "id": _LONG_ID, "entailed": True},
+     "entailed item needs a gold triple"),
+    (load_dataset,
+     {**_ITEM, "id": _LONG_ID, "entailed": True, "violates_constraints": True,
+      "gold_triple": "<a> <b> <c> ."},
+     "a constraint-violating item cannot be entailed"),
+    (read_result_log, {**_RECORD, "item_id": _LONG_ID, "correct": True},
+     "abstained records carry no grade"),
+    (read_result_log, {**_RECORD, "item_id": _LONG_ID, "responded": "ANSWERED"},
+     "answered records need a grade"),
+])
+def test_inconsistent_item_echoes_its_id_short(tmp_path, load, row, reason):
+    # QAItem and ResultRecord check their fields against each other; the
+    # error names the item by an id that may be as long as its line.
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    with pytest.raises(ParseError) as err:
+        load(path)
+    message = str(err.value)
+    assert message.startswith("line 1: ")
+    assert message.endswith(reason)
+    assert len(message) < 150
+
+
 def test_dataset_lines_end_only_at_newlines(tmp_path):
     # A JSON string may hold U+2028, U+2029 and U+0085 raw, which
     # str.splitlines() breaks at; only \n, \r\n and \r end a line.

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from factgate.extraction import (
     NUMBER_TOKEN_RE,
+    _KEY_END,
     Claim,
     PredicateRule,
     _fold,
+    _fold_key,
     build_lexicon,
     extract_claims,
     link_question_entities,
@@ -578,10 +580,14 @@ def test_multi_character_fold_key_is_one_trie_step():
     assert claim.triple.subject == Iri("a")
 
 
+# Every basic-plane character and a few astral ones.
+_SWEEP = "".join(map(chr, [*range(0x10000), 0x10400, 0x10428, 0x1E900, 0x1E922]))
+
+
 def test_fold_keys_agree_with_re_ignorecase():
-    # Every basic-plane character and a few astral ones against characters
-    # an alias can hold, with non-ASCII case folding among them.
-    text = "".join(map(chr, [*range(0x10000), 0x10400, 0x10428, 0x1E900, 0x1E922]))
+    # The sweep against characters an alias can hold, with non-ASCII case
+    # folding among them.
+    text = _SWEEP
     by_key = {}
     for ch in text:
         by_key.setdefault(_fold(ch), set()).add(ch)
@@ -590,6 +596,14 @@ def test_fold_keys_agree_with_re_ignorecase():
         assert matched == by_key[_fold(alias_char)], alias_char
     whitespace = set(re.findall(r"\s", text))
     assert whitespace == by_key[" "]
+
+
+def test_cached_fold_key_is_the_fold_key_and_stays_bounded():
+    for ch in _SWEEP:
+        assert _fold_key(ch) == _fold(ch) + _KEY_END, ch
+    info = _fold_key.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize < len(_SWEEP)
 
 
 @pytest.mark.parametrize(
@@ -604,6 +618,16 @@ def test_fold_keys_agree_with_re_ignorecase():
         ("the length of the length of tavo is 5 km", [("X_of", "e3", "5000")]),
         # Trailing whitespace in a rule backtracks to leave a word boundary.
         ("tavo is near river  x", [("X_trail", "e3", "e4")]),
+        # Rule literals present only in folded form: long s, Kelvin sign.
+        ("tavo riſes at 3 meters", [("R_source", "e3", "3")]),
+        ("tavo is 5 KM LONG", [("R_length", "e3", "5000")]),
+        # A literal split by a whitespace run other than one space.
+        ("tavo rises\t\nat 3 meters", [("R_source", "e3", "3")]),
+        # Every literal of R_length is present, " km long" only before the
+        # subject: the rule is scanned and matches nothing.
+        ("5 km long, tavo is 5", []),
+        # The only literal is R_tributary's: every numeric rule is skipped.
+        ("tavo has tributary river", [("R_tributary", "e3", "e4")]),
     ],
 )
 def test_regex_backtracking_corner_cases(text, expected):
