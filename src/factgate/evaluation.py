@@ -21,7 +21,6 @@ line, and can be re-scored without re-running any generator.
 from __future__ import annotations
 
 import json
-import re
 import reprlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -285,7 +284,7 @@ def _normalize_answer(text: str) -> str:
     lowered = NUMBER_TOKEN_RE.sub(
         lambda m: decimal_lexical(EXACT.normalize(Decimal(m.group(0)))), text.lower()
     )
-    return re.sub(r"\s+", " ", lowered).strip()
+    return " ".join(lowered.split())
 
 
 def answer_matches(response: str, gold_answer: str) -> bool:

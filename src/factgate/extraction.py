@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -107,7 +107,8 @@ class Claim:
 
 
 def _normalize_alias(text: str) -> str:
-    return re.sub(r"\s+", " ", text.strip().lower())
+    """Lowercased, each whitespace run one space, none at either end."""
+    return " ".join(text.lower().split())
 
 
 def local_name(iri: Iri) -> str:
@@ -409,16 +410,33 @@ def rule_for_triple(
     return None
 
 
+def _unscale(value: Decimal, scale: Decimal) -> Decimal:
+    """`value / scale`, normalized: exact when the quotient terminates, and
+    else rounded to Decimal's default 28 digits (a claim read back from it
+    is then not entailed, and abstains). A terminating quotient has at most
+    the digits of `value` plus those of the power of 2 or 5 that clears the
+    scale from its denominator: fewer than 2.33n + 1 for a scale of n
+    digits, so at most 3n. At that precision the division below is exact,
+    or it raises Inexact."""
+    digits = len(value.as_tuple().digits) + 3 * len(scale.as_tuple().digits)
+    exact = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    try:
+        return exact.divide(value, scale).normalize(exact)
+    except Inexact:
+        return (value / scale).normalize()
+
+
 def verbalize_triple(triple: Triple, rule: PredicateRule) -> str:
     """Render a triple back into a sentence through a rule's template.
 
     The inverse of extraction: entity slots use IRI local names with
-    underscores as spaces; numeric slots divide out the unit scale.
+    underscores as spaces; numeric slots divide out the unit scale, exactly
+    whenever the quotient ends.
     """
     subj_text = local_name(triple.subject).replace("_", " ")
     if rule.object_kind == "numeric":
         assert isinstance(triple.object, Literal) and triple.object.numeric is not None
-        obj_text = decimal_lexical((triple.object.numeric / rule.unit_scale).normalize())
+        obj_text = decimal_lexical(_unscale(triple.object.numeric, rule.unit_scale))
     else:
         assert isinstance(triple.object, Iri)
         obj_text = local_name(triple.object).replace("_", " ")

@@ -5,12 +5,18 @@ parsed from a flat N-Triples subset (no prefixes, no blank nodes, no
 language tags). The store answers three questions: does a triple hold
 (entailment, numbers by exact value), which triples of a predicate have a
 given subject or object, and what lies within k hops of some entities.
+
+A parse checks each distinct object token once, and a plain token (an IRI,
+or a quoted literal with no suffix or escape) is its own N-Triples text.
+The store is built with the cyclic garbage collector paused, and the
+collector is restored as found when the build ends, on error too.
 """
 
 from __future__ import annotations
 
+import gc
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from enum import Enum
 from itertools import chain, filterfalse
@@ -100,6 +106,29 @@ class Triple:
     object: Term
 
 
+def _unchecked(cls: type) -> Callable:
+    """A constructor of `cls`, a frozen slots dataclass of three fields, for
+    parts already checked: it sets the fields in order through their slot
+    descriptors, and runs neither __init__ nor __post_init__."""
+    new = object.__new__
+    first, second, third = (getattr(cls, f.name).__set__ for f in fields(cls))
+
+    def make(a, b, c):
+        made = new(cls)
+        first(made, a)
+        second(made, b)
+        third(made, c)
+        return made
+
+    return make
+
+
+# The parse's constructors: a literal it has checked, with the numeric value
+# it parsed, and a triple of its terms.
+_literal = _unchecked(Literal)
+_triple = _unchecked(Triple)
+
+
 def term_matches(graph_term: Term, query_term: Term) -> bool:
     """Term equality used by entailment and pattern matching.
 
@@ -139,24 +168,38 @@ def _unescape_one(m: re.Match[str]) -> str:
     return _UNESCAPE[m.group(1)]
 
 
-def _parse_object(token: str, iri: Callable[[str], Iri]) -> Term:
+def _parse_object(token: str, iri: Callable[[str], Iri]) -> tuple[Term, str]:
+    """The term of an object token and its N-Triples text (term_to_ntriples
+    of the term), from one lexical check of the token. An IRI token is its
+    own text, and so is a quoted one with no datatype suffix and nothing
+    inside that the text escapes (a backslash, a raw tab or carriage
+    return); any other is rendered from its term."""
     if token.startswith("<") and token.endswith(">"):
-        return iri(token[1:-1])
+        return iri(token[1:-1]), token
     m = _LITERAL_OBJ_RE.match(token)
     if m is None:
         raise ValueError(f"malformed object term: {token!r}")
-    lexical = _ESCAPE_SEQ_RE.sub(_unescape_one, m.group(1))
-    dt_iri = m.group(2)
+    body, dt_iri = m.groups()
+    plain = dt_iri is None and not ("\\" in body or "\t" in body or "\r" in body)
+    lexical = body if plain else _ESCAPE_SEQ_RE.sub(_unescape_one, body)
     if dt_iri is None:
         # Unsuffixed literals that look like decimals are stored as decimals;
         # the source data omits datatype suffixes on numeric values.
-        if _DECIMAL_RE.match(lexical):
-            return Literal(lexical, Datatype.DECIMAL)
-        return Literal(lexical, Datatype.STRING)
-    datatype = _DATATYPE_BY_IRI.get(dt_iri)
-    if datatype is None:
-        raise ValueError(f"unsupported datatype: <{dt_iri}>")
-    return Literal(lexical, datatype)
+        numeric = _DECIMAL_RE.match(lexical) is not None
+        datatype = Datatype.DECIMAL if numeric else Datatype.STRING
+    else:
+        datatype = _DATATYPE_BY_IRI.get(dt_iri)
+        if datatype is None:
+            raise ValueError(f"unsupported datatype: <{dt_iri}>")
+        numeric = datatype is not Datatype.STRING
+        pattern = _INTEGER_RE if datatype is Datatype.INTEGER else _DECIMAL_RE
+        if numeric and not pattern.match(lexical):
+            raise ValueError(f"invalid {datatype.value} lexical form: {lexical!r}")
+    term = _literal(lexical, datatype, Decimal(lexical) if numeric else None)
+    if plain:
+        return term, token
+    text = term_to_ntriples(term)
+    return term, token if text == token else text  # keep one string
 
 
 _LINE_SHAPE = "expected `<subject> <predicate> object .`"
@@ -167,7 +210,8 @@ def parse_ntriples_line(line: str) -> Triple:
     m = _LINE_RE.match(line.strip())
     if m is None:
         raise ValueError(_LINE_SHAPE)
-    return Triple(Iri(m.group(1)), Iri(m.group(2)), _parse_object(m.group(3), Iri))
+    term, _ = _parse_object(m.group(3), Iri)
+    return Triple(Iri(m.group(1)), Iri(m.group(2)), term)
 
 
 class _IriTable(dict):
@@ -183,9 +227,9 @@ class _TermTable:
     """One parse's term tables. `iris` maps an IRI string to its one `Iri`;
     `texts` maps an object token to the N-Triples text of its term
     (term_to_ntriples), and `objects` that text to the term. An object
-    token is parsed, validated and rendered on its first occurrence only,
-    and two spellings of one term (`"5"`, `"5"^^<...#decimal>`) give one
-    text and one term object."""
+    token is parsed, checked and given its text in one pass, on its first
+    occurrence only, and two spellings of one term (`"5"`,
+    `"5"^^<...#decimal>`) give one text and one term object."""
 
     def __init__(self) -> None:
         self.iris = _IriTable()
@@ -208,10 +252,7 @@ class _TermTable:
             yield key
 
     def _text(self, token: str) -> str:
-        term = _parse_object(token, self.iris.__getitem__)
-        text = term_to_ntriples(term)
-        if text == token:
-            text = token  # most tokens are their text: keep one string
+        term, text = _parse_object(token, self.iris.__getitem__)
         self.texts[token] = text
         self.objects.setdefault(text, term)
         return text
@@ -255,7 +296,11 @@ def parse_ntriples(text: str) -> "Graph":
     Duplicate triples are deduplicated. Any malformed line aborts the
     whole parse with a ParseError carrying its line number. The lines are
     read into string keys (see Graph); no `Triple` is made before the keys
-    are deduplicated and sorted.
+    are deduplicated and sorted. Each distinct object token is parsed and
+    checked once, and a plain token (an IRI, or a quoted literal with no
+    datatype suffix and nothing to escape) is its own text. The reading and
+    the build run with the cyclic garbage collector paused; it is restored
+    as found when they end, also when a line is malformed.
     """
     table = _TermTable()
     graph = Graph.__new__(Graph)
@@ -375,65 +420,76 @@ class Graph:
         the term tables that map those strings to terms. The keys are
         deduplicated and sorted as strings; each Triple is made after that,
         once per distinct key."""
-        keys = sorted(set(keys))
-        triples = self._triples = [
-            Triple(iris[s], iris[p], objects[o]) for s, p, o in keys
-        ]
-        # Drop the keys before the indexes grow: the two never coexist,
-        # which keeps the build's peak memory down.
-        del keys
-        spo: dict[str, dict[str, tuple[int, int]]] = {}
-        pos: dict[str, list[Triple]] = {}
-        ids: dict[str, int] = {}
-        adj: list[list[int]] = []
-        subjects: list[int] = []
-        object_ids: list[int] = []
-        runs: dict[str | None, tuple[int, int]] = {}  # scratch until a subject opens
-        run_s = run_p = None
-        lo = 0
-        for rank, t in enumerate(triples):
-            s, p, o = t.subject.value, t.predicate.value, t.object
-            # A subject's triples are adjacent, and so are its predicate's:
-            # each (subject, predicate) run is closed when the next opens.
-            if s != run_s:
-                runs[run_p] = (lo, rank)
-                runs = spo[s] = {}
-                sid = ids.setdefault(s, len(adj))
-                if sid == len(adj):
-                    adj.append([])
-                run_s, run_p, lo = s, p, rank
-            elif p != run_p:
-                runs[run_p] = (lo, rank)
-                run_p, lo = p, rank
-            pos.setdefault(p, []).append(t)
-            adj[sid].append(rank)
-            subjects.append(sid)
-            if isinstance(o, Iri):
-                oid = ids.setdefault(o.value, len(adj))
-                if oid == len(adj):
-                    adj.append([])
-                if oid != sid:
-                    adj[oid].append(rank)
-                object_ids.append(oid)
-            else:
-                object_ids.append(-1)
-        runs[run_p] = (lo, len(triples))
-        self._spo = spo
-        self._pos = pos
-        self._ids = ids
-        self._adj = adj
-        self._subjects = subjects
-        self._objects = object_ids
-        hubs = bytearray(len(adj))
-        for t in pos.get(RDF_TYPE_IRI, ()):
-            if isinstance(t.object, Iri):
-                hubs[ids[t.object.value]] = 1
-        for node, ranks in enumerate(adj):
-            if len(ranks) > HUB_DEGREE:
-                hubs[node] = 1
-        self._hubs = hubs
-        self._lines: list[str | None] | None = None
-        self._subject_sets: dict[tuple[str, str], set[str]] = {}
+        # A build makes several objects per triple and no cycle, so a
+        # collection in it would only walk them: the collector is paused,
+        # not frozen, and left as it was found. The collector is process
+        # state, so two builds in two threads at once may leave it off; the
+        # CLI builds its one graph before any worker starts.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            keys = sorted(set(keys))
+            triples = self._triples = [
+                _triple(iris[s], iris[p], objects[o]) for s, p, o in keys
+            ]
+            # Drop the keys before the indexes grow: the two never coexist,
+            # which keeps the build's peak memory down.
+            del keys
+            spo: dict[str, dict[str, tuple[int, int]]] = {}
+            pos: dict[str, list[Triple]] = {}
+            ids: dict[str, int] = {}
+            adj: list[list[int]] = []
+            subjects: list[int] = []
+            object_ids: list[int] = []
+            runs: dict[str | None, tuple[int, int]] = {}  # scratch until a subject opens
+            run_s = run_p = None
+            lo = 0
+            for rank, t in enumerate(triples):
+                s, p, o = t.subject.value, t.predicate.value, t.object
+                # A subject's triples are adjacent, and so are its predicate's:
+                # each (subject, predicate) run is closed when the next opens.
+                if s != run_s:
+                    runs[run_p] = (lo, rank)
+                    runs = spo[s] = {}
+                    sid = ids.setdefault(s, len(adj))
+                    if sid == len(adj):
+                        adj.append([])
+                    run_s, run_p, lo = s, p, rank
+                elif p != run_p:
+                    runs[run_p] = (lo, rank)
+                    run_p, lo = p, rank
+                pos.setdefault(p, []).append(t)
+                adj[sid].append(rank)
+                subjects.append(sid)
+                if isinstance(o, Iri):
+                    oid = ids.setdefault(o.value, len(adj))
+                    if oid == len(adj):
+                        adj.append([])
+                    if oid != sid:
+                        adj[oid].append(rank)
+                    object_ids.append(oid)
+                else:
+                    object_ids.append(-1)
+            runs[run_p] = (lo, len(triples))
+            self._spo = spo
+            self._pos = pos
+            self._ids = ids
+            self._adj = adj
+            self._subjects = subjects
+            self._objects = object_ids
+            hubs = bytearray(len(adj))
+            for t in pos.get(RDF_TYPE_IRI, ()):
+                if isinstance(t.object, Iri):
+                    hubs[ids[t.object.value]] = 1
+            for node, ranks in enumerate(adj):
+                if len(ranks) > HUB_DEGREE:
+                    hubs[node] = 1
+            self._hubs = hubs
+            self._lines: list[str | None] | None = None
+            self._subject_sets: dict[tuple[str, str], set[str]] = {}
+        finally:
+            if enabled:
+                gc.enable()
 
     def __len__(self) -> int:
         return len(self._triples)

@@ -196,6 +196,31 @@ def test_respelled_dirty_fact_answers_in_every_spelling(tmp_path, capsys):
         assert claim["entailed"] and claim["violations"] == []
 
 
+def test_echo_states_a_long_stored_number_exactly(tmp_path, capsys):
+    # 1.00000000000000000000000000001 m is 0.00100000000000000000000000000001
+    # km; divided at Decimal's default 28 digits it read 0.001 km, a number
+    # the graph does not hold, and the echo answer abstained.
+    graph = tmp_path / "long.nt"
+    graph.write_text(
+        "<River_X> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <River> .\n"
+        '<River_X> <label> "River X" .\n'
+        '<River_X> <length> "1.00000000000000000000000000001" .\n'
+    )
+    code = main([
+        "ask", "--graph", str(graph),
+        "--constraints", str(RIVERS / "constraints.txt"),
+        "--rules", str(RIVERS / "rules.txt"), "--mock-mode", "echo",
+        "How long is River X?",
+    ])
+    record = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert record["response_text"] == (
+        "River X is 0.00100000000000000000000000000001 km long."
+    )
+    [claim] = record["claims"]
+    assert claim["entailed"]
+
+
 def test_ask_unknown_topic_abstains_with_empty_claims(capsys):
     code = main(["ask"] + rivers_rules_args() + ["What is the capital of France?"])
     record = json.loads(capsys.readouterr().out)

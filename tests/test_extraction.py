@@ -5,9 +5,10 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factgate.extraction import (
@@ -17,6 +18,7 @@ from factgate.extraction import (
     PredicateRule,
     _fold,
     _fold_key,
+    _normalize_alias,
     build_lexicon,
     extract_claims,
     link_question_entities,
@@ -25,6 +27,7 @@ from factgate.extraction import (
     verbalize_triple,
 )
 from factgate.kg import (
+    EXACT,
     Datatype,
     Graph,
     Iri,
@@ -126,6 +129,21 @@ def test_every_lexicon_entity_is_in_the_graph():
     lex = build_lexicon(g, [LABEL])
     subjects = {t.subject for t in g}
     assert all(iri in subjects for iri in lex.alias_to_iri.values())
+
+
+# Whitespace of every kind str.isspace() knows, and characters next to it.
+_SPACES = (
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0"
+    "\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+_NEAR_SPACES = "\u180e\u200b\u200c\u2060\ufeffİẞΣ"
+
+
+@settings(max_examples=500)
+@given(st.text(st.one_of(st.characters(), st.sampled_from(_SPACES + _NEAR_SPACES))))
+def test_alias_normalization_is_the_regex_form(text):
+    # The regex form it replaced stays here as the reference.
+    assert _normalize_alias(text) == re.sub(r"\s+", " ", text.strip().lower())
 
 
 # --- extraction --------------------------------------------------------------
@@ -332,6 +350,43 @@ def test_verbalize_inverts_extraction(lexicon):
     [claim] = extract_claims(sentence, lexicon, [LENGTH_RULE])
     assert claim.triple.subject == triple.subject
     assert claim.triple.object.numeric == Decimal("2334000")
+
+
+def _terminates(q: Fraction) -> bool:
+    d = q.denominator
+    for f in (2, 5):
+        while d % f == 0:
+            d //= f
+    return d == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(
+        lambda sign, digits, e: Decimal(sign + digits).scaleb(-e),
+        st.sampled_from(["", "-"]),
+        st.text("0123456789", min_size=1, max_size=40),
+        st.integers(0, 40),
+    ),
+    st.builds(
+        lambda n, e: Decimal(n).scaleb(e),
+        st.integers(1, 10**4) | st.sampled_from([2**20, 5**12, 3 * 2**10]),
+        st.integers(-4, 4),
+    ),
+)
+@example(Decimal("1.00000000000000000000000000001"), Decimal(1000))
+def test_verbalized_number_is_the_exact_quotient_when_it_ends(value, scale):
+    rule = PredicateRule("R", "SUBJ is OBJ km long", Iri("length"), "numeric", scale)
+    obj = Literal(decimal_lexical(value), Datatype.DECIMAL)
+    triple = Triple(Iri("River_X"), Iri("length"), obj)
+    number = verbalize_triple(triple, rule).split()[3]
+    quotient = Fraction(value) / Fraction(scale)
+    if _terminates(quotient):
+        assert Fraction(Decimal(number)) == quotient
+        assert number == decimal_lexical(Decimal(number).normalize(EXACT))
+    else:
+        # Not a stored value, so the claim read back from it abstains.
+        assert number == decimal_lexical((value / scale).normalize())
 
 
 def test_rule_for_triple_respects_object_kind():

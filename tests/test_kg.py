@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 import re
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from factgate.extraction import PredicateRule, build_lexicon, extract_claims
 from factgate.kg import (
     _LINE_RE,
+    _parse_object,
     HUB_DEGREE,
     RDF_TYPE,
     Datatype,
@@ -224,37 +226,60 @@ def test_parse_rejects_nonfinite_numeric_literal():
 _XSD = "http://www.w3.org/2001/XMLSchema#"
 # As keys "ab" < "ab1", but as lines "<ab1>" < "<ab>" ('1' < '>').
 _LINE_IRIS = ["a", "a!", "ab", "ab1", "b"]
-# Several spellings of one term ("5", "5"^^decimal; "007" and "7" are not
-# one), numeric-looking strings, escapes.
-_LINE_OBJECTS = [
-    *(f"<{v}>" for v in _LINE_IRIS),
-    '"5"', f'"5"^^<{_XSD}decimal>', '"5.0"', f'"5"^^<{_XSD}integer>',
-    f'"007"^^<{_XSD}integer>', f'"7"^^<{_XSD}integer>', f'"5"^^<{_XSD}string>',
-    f'"-1.5"^^<{_XSD}string>', '"x"', f'"x"^^<{_XSD}string>', '""',
-    '"say \\"hi\\"\\n"', '"back\\\\slash\\ttab"',
+_STRING = Datatype.STRING
+# Each object token and its term, made through the validating constructors:
+# the reference both readers are held to. Several spellings of one term
+# ("5", "5"^^decimal; "007" and "7" are not one), numeric-looking strings,
+# escapes, and a raw tab, which the text of its term escapes.
+_LINE_TERMS = {
+    **{f"<{v}>": Iri(v) for v in _LINE_IRIS},
+    '"5"': lit("5"),
+    f'"5"^^<{_XSD}decimal>': lit("5"),
+    '"5.0"': lit("5.0"),
+    f'"5"^^<{_XSD}integer>': lit("5", Datatype.INTEGER),
+    f'"007"^^<{_XSD}integer>': lit("007", Datatype.INTEGER),
+    f'"7"^^<{_XSD}integer>': lit("7", Datatype.INTEGER),
+    f'"5"^^<{_XSD}string>': lit("5", _STRING),
+    f'"-1.5"^^<{_XSD}string>': lit("-1.5", _STRING),
+    '"x"': lit("x", _STRING),
+    f'"x"^^<{_XSD}string>': lit("x", _STRING),
+    '""': lit("", _STRING),
+    '"say \\"hi\\"\\n"': lit('say "hi"\n', _STRING),
+    '"back\\\\slash\\ttab"': lit("back\\slash\ttab", _STRING),
+    '"a\tb"': lit("a\tb", _STRING),
+    '"a\\tb"': lit("a\tb", _STRING),
     # Characters str.splitlines() breaks at, held raw: none ends a line.
-    '"x\u2028y"', '"\u2029\x85"', '"a\x0b\x0cb"', '"\x1c\x1d\x1e"',
-]
-_MALFORMED_LINES = [
-    "<a> <p>",
-    "<a b> <p> <b> .",
-    "<> <p> <b> .",
-    "<a> <p> <b c> .",
-    f'<a> <p> "1.5"^^<{_XSD}double> .',
-    f'<a> <p> "x"^^<{_XSD}integer> .',
-    '<a> <p> "bad\\q" .',
-]
+    '"x\u2028y"': lit("x\u2028y", _STRING),
+    '"\u2029\x85"': lit("\u2029\x85", _STRING),
+    '"a\x0b\x0cb"': lit("a\x0b\x0cb", _STRING),
+    '"\x1c\x1d\x1e"': lit("\x1c\x1d\x1e", _STRING),
+}
+# Each malformed line and the reason it is rejected with.
+_MALFORMED_LINES = {
+    "<a> <p>": "expected `<subject> <predicate> object .`",
+    "<a b> <p> <b> .": "IRI contains whitespace: 'a b'",
+    "<> <p> <b> .": "IRI must be non-empty",
+    "<a> <p> <b c> .": "IRI contains whitespace: 'b c'",
+    f'<a> <p> "1.5"^^<{_XSD}double> .': f"unsupported datatype: <{_XSD}double>",
+    f'<a> <p> "x"^^<{_XSD}integer> .': "invalid integer lexical form: 'x'",
+    '<a> <p> "bad\\q" .': "unsupported escape in literal: 'bad\\\\q'",
+}
 # Another spelling of the same term.
-_RESPELLED = {'"5"': f'"5"^^<{_XSD}decimal>', '"x"': f'"x"^^<{_XSD}string>'}
+_RESPELLED = {
+    '"5"': f'"5"^^<{_XSD}decimal>',
+    '"x"': f'"x"^^<{_XSD}string>',
+    '"a\tb"': '"a\\tb"',
+}
 
 
 @st.composite
-def _ntriples_text(draw):
-    """N-Triples text over _LINE_IRIS and _LINE_OBJECTS: repeated triples,
-    some respelled, padding, blank and comment lines, and maybe one
-    malformed line."""
+def _ntriples_lines(draw):
+    """A line break and N-Triples lines over _LINE_IRIS and _LINE_TERMS,
+    each with what it reads as: repeated triples, some respelled, padding,
+    blank and comment lines (None), and maybe one malformed line (the
+    reason it is rejected)."""
     iri = st.sampled_from(_LINE_IRIS)
-    row = st.tuples(iri, iri, st.sampled_from(_LINE_OBJECTS))
+    row = st.tuples(iri, iri, st.sampled_from(list(_LINE_TERMS)))
     rows = draw(st.lists(row, max_size=20))
     if rows:
         again = draw(st.lists(st.sampled_from(rows), max_size=6))
@@ -264,36 +289,99 @@ def _ntriples_text(draw):
     lines = []
     for s, p, o in draw(st.permutations(rows)):
         a, b, c, d = draw(sep), draw(sep), draw(pad), draw(pad)
-        lines.append(f"{d}<{s}>{a}<{p}>{b}{o}{c}.{d}")
+        triple = Triple(Iri(s), Iri(p), _LINE_TERMS[o])
+        lines.append((f"{d}<{s}>{a}<{p}>{b}{o}{c}.{d}", triple))
     filler = st.sampled_from(["", "   ", "# a comment", "  #<a> <p> <b> ."])
     for text in draw(st.lists(filler, max_size=4)):
-        lines.insert(draw(st.integers(0, len(lines))), text)
+        lines.insert(draw(st.integers(0, len(lines))), (text, None))
     if draw(st.booleans()):
         at = draw(st.integers(0, len(lines)))
-        lines.insert(at, draw(st.sampled_from(_MALFORMED_LINES)))
-    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+        line = draw(st.sampled_from(list(_MALFORMED_LINES)))
+        lines.insert(at, (line, _MALFORMED_LINES[line]))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])), lines
+
+
+def _fields(t: Triple) -> tuple:
+    """Every field of a triple, `Literal.numeric` too, which == ignores."""
+    o = t.object
+    obj = o.value if isinstance(o, Iri) else (o.lexical, o.datatype, repr(o.numeric))
+    return t.subject.value, t.predicate.value, obj
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ntriples_text())
-def test_parse_agrees_with_the_per_line_reader(text):
+@given(_ntriples_lines())
+def test_parse_agrees_with_the_per_line_reader(case):
+    newline, lines = case
     expected, error = [], None
-    for number, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
-        if not line.strip() or line.strip().startswith("#"):
-            continue
-        try:
-            expected.append(parse_ntriples_line(line))
-        except ValueError as exc:
-            error = (number, str(exc))
-            break
+    for number, (line, want) in enumerate(lines, start=1):
+        if isinstance(want, Triple):
+            assert _fields(parse_ntriples_line(line)) == _fields(want)
+            expected.append(want)
+        elif want is not None:
+            with pytest.raises(ValueError) as err:
+                parse_ntriples_line(line)
+            assert str(err.value) == want
+            error = number, want
+    text = newline.join(line for line, _ in lines)
     if error is None:
         graph = parse_ntriples(text)
-        assert tuple(graph) == tuple(sorted(set(expected), key=triple_sort_key))
+        want = sorted(set(expected), key=triple_sort_key)
+        assert list(map(_fields, graph)) == list(map(_fields, want))
     else:
         with pytest.raises(ParseError) as err:
             parse_ntriples(text)
         assert (err.value.line, err.value.reason) == error
 
+
+@pytest.mark.parametrize("token", [*_LINE_TERMS, '"x\ry"'])
+def test_an_object_token_gives_the_text_of_its_term(token):
+    # A raw carriage return reaches the token only through
+    # parse_ntriples_line: a parse breaks the line there.
+    term, text = _parse_object(token, Iri)
+    assert _fields(Triple(Iri("s"), Iri("p"), term)) == _fields(
+        Triple(Iri("s"), Iri("p"), _LINE_TERMS.get(token, lit("x\ry", _STRING)))
+    )
+    assert text == term_to_ntriples(term)
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic garbage collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_build_leaves_the_collector_as_it_found_it(collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    parse_ntriples('<a> <p> "1" .\n<a> <q> <b> .')
+    assert gc.isenabled() is enabled
+    with pytest.raises(ParseError):
+        parse_ntriples('<a> <p> "1" .\n<a> <q> "bad\\q" .')
+    assert gc.isenabled() is enabled
+    Graph([Triple(Iri("a"), Iri("p"), lit("1"))])
+    assert gc.isenabled() is enabled
+
+
+def test_a_parse_runs_at_most_the_collection_it_deferred(collector):
+    # Unpaused, this parse starts dozens of young-generation collections.
+    # Paused, one may start after the build, when the collector is back on.
+    gc.enable()
+    text = "\n".join(f'<n{i}> <p> <n{i + 1}> .\n<n{i}> <q> "{i}" .' for i in range(5000))
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        graph = parse_ntriples(text)
+    finally:
+        gc.callbacks.remove(record)
+    assert len(graph) == 10_000
+    assert len(generations) <= 1
 
 
 # The line grammar before it was made linear, kept as the reference: on a
