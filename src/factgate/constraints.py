@@ -6,13 +6,16 @@ bounds, property ordering, conditional requirements, and temporal interval
 overlap. Constraints are declared in a line-oriented manifest.
 
 Every constraint has one shape: a check over the triples of one predicate,
-each triple a unit. A whole graph is validated by scanning each predicate's
-triples once. A type or requirement test is a lookup in the graph's subject
-set of its (predicate, object) pair (Graph.subjects_of), built once per graph
-and shared by every later call. A claim is charged with exactly the
-violations that asserting it would add, found by re-checking only the units
-around its subject, up to the term equality entailment uses (term_matches):
-a claim the graph entails adds nothing, however its number is spelled.
+each triple a unit, which takes its units as one batch. A whole graph is
+validated by passing each constraint every unit of its predicate, a claim by
+passing it the few units around the claim's subject; there is no per-unit
+check. A type or requirement test is a lookup in the graph's subject set of
+its (predicate, object) pair (Graph.subjects_of), built once per graph and
+shared by every later call, and fetched once per check, not once per unit.
+A claim is charged with exactly the violations that asserting it would add,
+found by re-checking only the units around its subject, up to the term
+equality entailment uses (term_matches): a claim the graph entails adds
+nothing, however its number is spelled.
 
 Bound and ordering checks, like entailment, compare exact decimal values.
 Nodes missing a constrained property are skipped, except under
@@ -64,7 +67,11 @@ def _violation_order(v: Violation) -> tuple:
 
 class _GraphPlusClaim:
     """Read-only view of a graph plus one triple it does not hold. It answers
-    the only two queries the checks make of a graph, `match` and `holds`."""
+    the queries the checks make of a graph: `match`, `subjects_of` and
+    `holds`. `subjects_of` returns the graph's own set, or, for the claim's
+    (predicate, object) pair, a copy with the claim's subject added, so the
+    graph's kept sets never change; `holds` tests the same membership
+    without the copy."""
 
     __slots__ = ("graph", "claim")
 
@@ -87,6 +94,12 @@ class _GraphPlusClaim:
             found.append(self.claim)
         return found
 
+    def subjects_of(self, p: Iri, o: Iri) -> set[str]:
+        found = self.graph.subjects_of(p, o)
+        if self._claim_matches(None, p, o):
+            return found | {self.claim.subject.value}
+        return found
+
     def holds(self, s: Iri, p: Iri, o: Iri) -> bool:
         return self.graph.holds(s, p, o) or self._claim_matches(s, p, o)
 
@@ -102,19 +115,23 @@ def _numeric_values(graph: _View, node: Iri, prop: Iri) -> list[Decimal]:
     ]
 
 
-# Every constraint has one check shape: `check_triple(graph, t)` on each of
-# its units t, which are triples of its `unit_predicate`. A constraint with a
-# `unit_class` (the numeric bounds and ordering) takes as units only the
-# triples whose subject has that class, and its check reads only triples of
-# the unit's subject. One without (object typing, requirements, intervals)
-# takes every triple of the predicate, and its check reads triples of the
-# unit's subject and of its object. The graph is read only through `match`
-# and `holds`, both of which a Graph answers from its own indexes and subject
-# sets, and every violation carries its unit as its triple and the
-# unit's subject as its focus. So a claim (x, p, o) can touch only the units
-# whose subject is x, if x has the unit class, and, for a check that reads
-# objects, those whose object is x; the claim itself is one of the former
-# once asserted. Those are the units `check_around` re-checks.
+# Every constraint has one check shape: `check(graph, units)` on a batch of
+# its units, which are triples of its `unit_predicate`; `evaluate` passes
+# every unit of a graph, `check_around` the few around a claim. A check
+# fetches the subject sets and parameters it needs once per call, then tests
+# each unit, and builds a violation's message only for a unit that fails. A
+# constraint with a `unit_class` (the numeric bounds and ordering) takes as
+# units only the triples whose subject has that class, and its check reads
+# only triples of the unit's subject. One without (object typing,
+# requirements, intervals) takes every triple of the predicate, and its check
+# reads triples of the unit's subject and of its object. The graph is read
+# only through `match` and `subjects_of` (and `holds`, a test in the same
+# set), which a Graph answers from its own indexes and kept sets, and every
+# violation carries its unit as its triple and the unit's subject as its
+# focus. So a claim (x, p, o) can touch only the units whose subject is x,
+# if x has the unit class, and, for a check that reads objects, those whose
+# object is x; the claim itself is one of the former once asserted. Those
+# are the units `check_around` re-checks.
 
 
 class _Check:
@@ -127,7 +144,7 @@ class _Check:
         if self.unit_class is not None:
             typed = graph.subjects_of(RDF_TYPE, self.unit_class)
             units = [t for t in units if t.subject.value in typed]
-        return [v for t in units for v in self.check_triple(graph, t)]
+        return self.check(graph, units)
 
     def check_around(self, graph: _View, node: Iri) -> list[Violation]:
         """The violations of the units a claim on `node` can touch."""
@@ -140,7 +157,7 @@ class _Check:
             units = graph.match(s=node, p=p)
         else:
             return []
-        return [v for t in units for v in self.check_triple(graph, t)]
+        return self.check(graph, units)
 
     def _violation(self, t: Triple, message: str) -> Violation:
         return Violation(self.id, t.subject, t, message)
@@ -154,13 +171,19 @@ class ClassOfObject(_Check):
     predicate: Iri
     target_class: Iri
 
-    def check_triple(self, graph: _View, t: Triple) -> list[Violation]:
+    def check(self, graph: _View, units: list[Triple]) -> list[Violation]:
+        typed = graph.subjects_of(RDF_TYPE, self.target_class)
+        return [
+            self._untyped(t)
+            for t in units
+            if not (isinstance(t.object, Iri) and t.object.value in typed)
+        ]
+
+    def _untyped(self, t: Triple) -> Violation:
         obj = t.object
-        if isinstance(obj, Iri) and graph.holds(obj, RDF_TYPE, self.target_class):
-            return []
         shown = obj.value if isinstance(obj, Iri) else obj.lexical
         message = f"object {shown!r} of <{self.predicate.value}> is not typed"
-        return [self._violation(t, f"{message} <{self.target_class.value}>")]
+        return self._violation(t, f"{message} <{self.target_class.value}>")
 
 
 # Each bound kind: the symbol its message shows, and the check a value passes.
@@ -185,17 +208,19 @@ class NumericBound(_Check):
     unit_class = property(lambda self: self.target_class)
     unit_predicate = property(lambda self: self.property)
 
-    def check_triple(self, graph: _View, t: Triple) -> list[Violation]:
-        value = t.object.numeric if isinstance(t.object, Literal) else None
+    def check(self, graph: _View, units: list[Triple]) -> list[Violation]:
         symbol, ok = _BOUNDS[self.kind]
-        if value is None or ok(value, self.bound):
-            return []
+        bound = self.bound
         return [
             self._violation(
                 t,
                 f"<{self.property.value}> value {decimal_lexical(value)} is not "
-                f"{symbol} {decimal_lexical(self.bound)}",
+                f"{symbol} {decimal_lexical(bound)}",
             )
+            for t in units
+            if isinstance(t.object, Literal)
+            and (value := t.object.numeric) is not None
+            and not ok(value, bound)
         ]
 
 
@@ -212,18 +237,20 @@ class LessThanProperty(_Check):
     unit_class = property(lambda self: self.target_class)
     unit_predicate = property(lambda self: self.lesser)
 
-    def check_triple(self, graph: _View, t: Triple) -> list[Violation]:
-        lv = t.object.numeric if isinstance(t.object, Literal) else None
-        if lv is None:
-            return []
+    def check(self, graph: _View, units: list[Triple]) -> list[Violation]:
+        match, greater = graph.match, self.greater
         return [
             self._violation(
                 t,
                 f"<{self.lesser.value}> {decimal_lexical(lv)} is not strictly "
-                f"less than <{self.greater.value}> {decimal_lexical(gv)}",
+                f"less than <{greater.value}> {decimal_lexical(gv)}",
             )
-            for gv in _numeric_values(graph, t.subject, self.greater)
-            if not lv < gv
+            for t in units
+            if isinstance(t.object, Literal) and (lv := t.object.numeric) is not None
+            for g in match(s=t.subject, p=greater)
+            if isinstance(g.object, Literal)
+            and (gv := g.object.numeric) is not None
+            and not lv < gv
         ]
 
 
@@ -238,13 +265,9 @@ class ConditionalRequirement(_Check):
     required_predicate: Iri
     required_object: Iri
 
-    def check_triple(self, graph: _View, t: Triple) -> list[Violation]:
-        if not isinstance(t.object, Iri):
-            return []
-        if not graph.holds(t.object, RDF_TYPE, self.object_class):
-            return []
-        if graph.holds(t.subject, self.required_predicate, self.required_object):
-            return []
+    def check(self, graph: _View, units: list[Triple]) -> list[Violation]:
+        typed = graph.subjects_of(RDF_TYPE, self.object_class)
+        having = graph.subjects_of(self.required_predicate, self.required_object)
         return [
             self._violation(
                 t,
@@ -252,6 +275,10 @@ class ConditionalRequirement(_Check):
                 f"<{t.object.value}> but lacks <{self.required_predicate.value}> "
                 f"<{self.required_object.value}>",
             )
+            for t in units
+            if isinstance(t.object, Iri)
+            and t.object.value in typed
+            and t.subject.value not in having
         ]
 
 
@@ -273,13 +300,7 @@ class IntervalOverlap(_Check):
         # Multi-valued endpoints take the widest reading.
         return min(starts), max(ends)
 
-    def check_triple(self, graph: _View, t: Triple) -> list[Violation]:
-        if not isinstance(t.object, Iri):
-            return []
-        a = self._interval(graph, t.subject)
-        b = self._interval(graph, t.object)
-        if a is None or b is None or (a[0] <= b[1] and b[0] <= a[1]):
-            return []
+    def check(self, graph: _View, units: list[Triple]) -> list[Violation]:
         return [
             self._violation(
                 t,
@@ -288,6 +309,11 @@ class IntervalOverlap(_Check):
                 f"<{t.object.value}> "
                 f"[{decimal_lexical(b[0])}, {decimal_lexical(b[1])}] do not overlap",
             )
+            for t in units
+            if isinstance(t.object, Iri)
+            and (a := self._interval(graph, t.subject)) is not None
+            and (b := self._interval(graph, t.object)) is not None
+            and not (a[0] <= b[1] and b[0] <= a[1])
         ]
 
 

@@ -21,6 +21,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from enum import Enum
 from itertools import chain, filterfalse
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Sequence
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -36,6 +37,10 @@ _DECIMAL_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)\Z")
 _INTEGER_RE = re.compile(r"[+-]?\d+\Z")
 
 _WHITESPACE_RE = re.compile(r"[ \t\r\n]")
+
+# The (s, p) runs of a subject the graph lacks: one shared read-only mapping,
+# so a lookup of such a subject allocates nothing.
+_NO_RUNS = MappingProxyType({})
 
 
 class ParseError(Exception):
@@ -509,7 +514,7 @@ class Graph:
         else `p`'s list. IRIs match byte-equal, an object per term_matches.
         """
         if s is not None:
-            lo, hi = self._spo.get(s.value, {}).get(p.value, (0, 0))
+            lo, hi = self._spo.get(s.value, _NO_RUNS).get(p.value, (0, 0))
             found = self._triples[lo:hi]  # the slice is a new list
         elif isinstance(o, Iri):
             node = self._ids.get(o.value)

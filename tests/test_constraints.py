@@ -4,6 +4,7 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -588,6 +589,70 @@ def test_claim_on_a_fresh_subject():
     assert validate_claim(claim, g, cs) == []
     bad = Triple(Iri("New"), Iri("hasTributary"), Literal("R", Datatype.STRING))
     assert [v.constraint_id for v in validate_claim(bad, g, cs)] == ["C1"]
+
+
+def test_a_claim_never_changes_the_graphs_subject_sets():
+    # Each claim is of a (predicate, object) pair whose subject set a check
+    # reads, so the view of the graph plus the claim answers with that set
+    # and the claim's subject; the graph's own set must stay as it was.
+    g = parse_ntriples(
+        "\n".join(
+            [
+                "<Up> <hasTributary> <X> .",
+                "<X> <traverses> <State_S> .",
+                f"<State_S> {TYPE} <State> .",
+                river("R", inCountry="<United_States>"),
+            ]
+        )
+    )
+    cs = parse_manifest(RIVER_MANIFEST)
+    report = validate_graph(g, cs)
+    assert [v.constraint_id for v in report.violations] == ["C1", "C7"]
+    pairs = [(RDF_TYPE, Iri("River")), (Iri("inCountry"), Iri("United_States"))]
+    kept = [g.subjects_of(p, o) for p, o in pairs]
+    members = [set(found) for found in kept]
+    for p, o in pairs:
+        claim = Triple(Iri("X"), p, o)
+        # Each claim clears one of the graph's violations and adds none.
+        assert validate_claim(claim, g, cs) == []
+        assert brute_force_claim_violations(claim, g, cs) == []
+    for (p, o), found, before in zip(pairs, kept, members):
+        assert g.subjects_of(p, o) is found
+        assert found == before
+    assert validate_graph(g, cs) == report
+
+
+def rivers_graph(n: int) -> Graph:
+    """n rivers, each with every measure C2-C6 reads, a tributary and a
+    traversed state, and every fifth one breaking a constraint."""
+    lines = [f"<State_S> {TYPE} <State> ."]
+    for i in range(n):
+        mouth = 3000 if i % 5 == 0 else 10
+        lines.append(
+            river(
+                f"R{i}", sourceElevation="2000", mouthElevation=str(mouth),
+                length="100", discharge="5", hasTributary=f"<R{(i + 1) % n}>",
+                traverses="<State_S>",
+            )
+        )
+        if i % 5:
+            lines.append(f"<R{i}> <inCountry> <United_States> .")
+    return parse_ntriples("\n".join(lines))
+
+
+def test_graph_lookups_per_validation_do_not_grow_with_the_graph():
+    # Each check fetches its subject sets once per call, not once per unit.
+    cs = parse_manifest(RIVER_MANIFEST)
+    counts = []
+    for n in (10, 40):
+        g = rivers_graph(n)
+        with mock.patch.object(
+            Graph, "subjects_of", autospec=True, side_effect=Graph.subjects_of
+        ) as subjects_of:
+            report = validate_graph(g, cs)
+        assert len(report.violations) == 2 * n // 5  # C6 and C7 each
+        counts.append(subjects_of.call_count)
+    assert counts[0] == counts[1]
 
 
 def test_claims_agree_on_fresh_validated_and_shared_graphs():
