@@ -15,6 +15,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import reprlib
 import sys
 from typing import Callable, Sequence, TypeVar
 
@@ -182,7 +183,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for item in dataset:
         if item.gold_triple and graph.contains(item.gold_triple) != item.entailed:
             raise CliError(
-                f"dataset {args.dataset!r}: item {item.id!r} is marked "
+                f"dataset {args.dataset!r}: item {reprlib.repr(item.id)} is marked "
                 f"{'' if item.entailed else 'not '}entailed, but the graph "
                 f"{'lacks' if item.entailed else 'holds'} its gold_triple"
             )

@@ -31,6 +31,7 @@ from .kg import (
     decimal_lexical,
     parse_decimal,
     parse_kv,
+    split_lines,
     take_decimal,
     take_iri,
     take_param,
@@ -374,7 +375,7 @@ def parse_rules(text: str) -> list[PredicateRule]:
     """
     rules: list[PredicateRule] = []
     seen: set[str] = set()
-    for number, line in content_lines(text):
+    for number, line in content_lines(split_lines(text)):
         m = _RULE_LINE_RE.match(line)
         if m is None:
             raise ParseError(number, 'expected `<id> "<pattern>" key=value ...`')

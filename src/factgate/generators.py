@@ -28,7 +28,14 @@ from .extraction import (
     rule_for_triple,
     verbalize_triple,
 )
-from .kg import EXACT, ParseError, content_lines, decimal_lexical, parse_ntriples_line
+from .kg import (
+    EXACT,
+    ParseError,
+    content_lines,
+    decimal_lexical,
+    iter_lines,
+    parse_ntriples_line,
+)
 
 GeneratorFn = Callable[[str, str], str]
 
@@ -117,7 +124,7 @@ def corrupt_number(text: str) -> str:
 
 
 def _echo_context(context: str, rules: Sequence[PredicateRule]) -> str:
-    for number, line in content_lines(context):
+    for number, line in content_lines(iter_lines(context)):
         try:
             triple = parse_ntriples_line(line)
         except ValueError as exc:
@@ -136,8 +143,9 @@ def mock_generator(
     """Bind a MockBehavior into the pipeline's generator signature.
 
     Generation is deterministic. ECHO_CONTEXT verbalizes the first context
-    line, in text order, that any rule can render; lines after it are not
-    parsed, and a malformed line before it raises ParseError.
+    line, in text order, that any rule can render; the context is read one
+    line at a time, so lines after that one are neither split nor parsed,
+    and a malformed line before it raises ParseError at its line number.
     FIXED_ANSWER returns the answer key verbatim. NOISY draws from a stream
     keyed by (seed, question): the answer key with p_correct, a corrupted
     number variant with p_hallucinate, otherwise "I don't know". Binding

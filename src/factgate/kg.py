@@ -245,7 +245,7 @@ class _TermTable:
         """(subject, predicate, object text) of each content line, in text
         order; a malformed line raises a ParseError when it is reached."""
         iri, texts = self.iris.__getitem__, self.texts
-        for number, line in content_lines(text):
+        for number, line in content_lines(split_lines(text)):
             m = _LINE_RE.match(line)
             try:
                 if m is None:
@@ -273,6 +273,19 @@ def split_lines(text: str) -> list[str]:
     return text.split("\n")
 
 
+def iter_lines(text: str) -> Iterator[str]:
+    """The lines of split_lines(text), one at a time: a reader that stops
+    early neither splits nor copies the rest of the text."""
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        line, start = text[start:end], end + 1
+        if "\r" in line:  # a CR ends a line too; one just before the LF is CRLF
+            yield from line.removesuffix("\r").split("\r")
+        else:
+            yield line
+    yield from text[start:].split("\r")
+
+
 def read_utf8(path: str | Path) -> str:
     """The text of an input file; a byte that is not UTF-8 is a ParseError
     at its line, counted as split_lines counts."""
@@ -286,10 +299,12 @@ def read_utf8(path: str | Path) -> str:
         ) from exc
 
 
-def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) for each line of a line-oriented input
-    that is neither blank nor a `#` comment."""
-    for number, line in enumerate(split_lines(text), start=1):
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each of the lines of a line-oriented
+    input that is neither blank nor a `#` comment. A reader of the whole
+    text passes split_lines(text), one fast split; a reader that stops early
+    passes iter_lines(text), the same lines read only as far as it reads."""
+    for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield number, stripped
@@ -583,8 +598,10 @@ def retrieve_subgraph(graph: Graph, seeds: Iterable[Iri], max_hops: int) -> Subg
     edge that reached a hub is collected: a context is bounded by the
     degree limit, not by the graph's size. The seeds are looked up once by
     IRI string; the walk then runs over node ids and triple ranks only, so
-    its cost grows with the triples it collects. Returns a Subgraph of the
-    collected ranks, sorted, ready for serialize_ntriples.
+    its cost grows with the triples it collects. The last hop only collects
+    its frontier's ranks: no frontier follows it, so it reads no triple's
+    endpoints. Returns a Subgraph of the collected ranks, sorted, ready for
+    serialize_ntriples.
     """
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
@@ -593,7 +610,7 @@ def retrieve_subgraph(graph: Graph, seeds: Iterable[Iri], max_hops: int) -> Subg
     frontier = {ids[s.value] for s in seeds if s.value in ids}
     visited = set(frontier)
     collected: set[int] = set()
-    for _ in range(max_hops):
+    for _ in range(max_hops - 1):
         if not frontier:
             break
         ranks = set(chain.from_iterable(map(adj.__getitem__, frontier)))
@@ -605,6 +622,7 @@ def retrieve_subgraph(graph: Graph, seeds: Iterable[Iri], max_hops: int) -> Subg
         reached.discard(-1)
         frontier = set(filterfalse(hubs.__getitem__, reached))
         visited |= frontier
+    collected.update(chain.from_iterable(map(adj.__getitem__, frontier)))
     return Subgraph(graph, tuple(sorted(collected)))
 
 

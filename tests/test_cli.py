@@ -684,6 +684,19 @@ def test_eval_entailed_flag_must_match_the_graph(tmp_path, capsys):
             assert f"item {rows[index]['id']!r} {says} its gold_triple" in err
 
 
+def test_eval_entailed_flag_error_shortens_a_long_id(tmp_path, capsys, monkeypatch):
+    rows = [json.loads(line) for line in (RIVERS / "qa.jsonl").read_text().splitlines()]
+    held = next(i for i, row in enumerate(rows) if row["entailed"])
+    long_id = "x" * 50_000
+    dataset_of(tmp_path, (held, "entailed", False), (held, "id", long_id))
+    monkeypatch.chdir(tmp_path)  # a short dataset path in the message
+    args = ["--dataset", "qa.jsonl", "--condition", "oracle"]
+    assert main(["eval"] + rivers_rules_args() + args) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "is marked not entailed, but the graph holds" in line
+    assert len(line) < 200
+
+
 def test_eval_missing_dataset_is_exit_2(capsys):
     code = main(
         ["eval"] + rivers_rules_args()

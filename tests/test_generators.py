@@ -25,7 +25,7 @@ from factgate.generators import (
     corrupt_number,
     mock_generator,
 )
-from factgate.kg import Iri, ParseError
+from factgate.kg import Iri, ParseError, content_lines, split_lines
 
 from conftest import FIXTURES, REPO_ROOT
 
@@ -74,6 +74,37 @@ def test_echo_takes_first_renderable_line_in_text_order():
     with pytest.raises(ParseError) as err:
         mock_generator(behavior, rules=[LENGTH_RULE])("q?", "\n<broken\n" + unsorted)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "head",
+    ["# retrieved\r\n\r\n", "# retrieved\r\r", "# retrieved\r\n\r", "\r\r\n\n"],
+)
+def test_echo_counts_lines_as_the_whole_text_readers_do(head):
+    # The echo reads its context lazily; a malformed line is reported at
+    # the number that content_lines over split_lines gives it.
+    behavior = MockBehavior(MockMode.ECHO_CONTEXT)
+    context = head + "<broken\r\n" + CONTEXT
+    (expected, line), *_ = content_lines(split_lines(context))
+    assert line == "<broken"
+    with pytest.raises(ParseError) as err:
+        mock_generator(behavior, rules=[LENGTH_RULE])("q?", context)
+    assert err.value.line == expected
+
+
+def test_echo_splits_a_line_only_at_a_line_end():
+    behavior = MockBehavior(MockMode.ECHO_CONTEXT)
+    for char in ("\u2028", "\x85", "\x0c"):
+        context = f'<River_{char}Colorado> <length> "2334000.0" .\n'
+        out = mock_generator(behavior, rules=[LENGTH_RULE])("q?", context)
+        assert out == f"River {char}Colorado is 2334 km long."
+
+
+def test_echo_renders_a_last_line_without_a_line_end():
+    behavior = MockBehavior(MockMode.ECHO_CONTEXT)
+    context = '<River_Colorado> <length> "2334000.0" .'
+    out = mock_generator(behavior, rules=[LENGTH_RULE])("q?", context)
+    assert out == "River Colorado is 2334 km long."
 
 
 def test_echo_without_renderable_triple_falls_back():

@@ -25,11 +25,13 @@ from factgate.kg import (
     Literal,
     ParseError,
     Triple,
+    iter_lines,
     parse_ntriples,
     parse_ntriples_line,
     retrieve_subgraph,
     Subgraph,
     serialize_ntriples,
+    split_lines,
     term_to_ntriples,
     triple_sort_key,
     triple_to_ntriples,
@@ -199,6 +201,12 @@ def test_lines_end_only_at_newlines():
     assert err.value.line == 3
     g = parse_ntriples(text.replace("<broken\n", ""))
     assert [t.object.lexical for t in g] == ["x\u2028y", "\x0c"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="\r\na \x0b\x0c\x1c\x85\u2028\u2029", max_size=16))
+def test_lazy_lines_are_the_split_lines(text):
+    assert list(iter_lines(text)) == split_lines(text)
 
 
 def test_parse_explicit_datatypes_and_escapes():
@@ -802,7 +810,7 @@ def _hub_graph_and_seeds(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_hub_graph_and_seeds(), st.integers(1, 3))
+@given(_hub_graph_and_seeds(), st.integers(1, 4))
 def test_capped_retrieval_agrees_with_capped_oracle(graph_and_seeds, max_hops):
     g, seeds = graph_and_seeds
     oracle = bfs_oracle(g, seeds, max_hops, capped=True)
