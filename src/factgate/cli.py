@@ -15,6 +15,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import os
 import reprlib
 import sys
 from typing import Callable, Sequence, TypeVar
@@ -114,15 +115,32 @@ def _fields(args: argparse.Namespace, flags: dict[str, str]) -> dict:
     return {field: getattr(args, field) for field in _given(args, flags).values()}
 
 
+# The mock flags each mock mode reads, besides --mock-mode itself.
+_MODE_FLAGS = {
+    MockMode.ECHO_CONTEXT: (),
+    MockMode.FIXED_ANSWER: ("--answer",),
+    MockMode.NOISY: ("--answer", "--p-correct", "--p-hallucinate", "--seed"),
+}
+
+
 def _generator_fields(args: argparse.Namespace) -> dict:
     """Fields set by the given flags of the generator --endpoint selects; a
-    flag only the other generator reads is an input error, not ignored."""
+    flag only the other generator, or another mock mode, reads is an input
+    error, not ignored."""
     http = hasattr(args, "endpoint")
     read, unread = (_HTTP_FLAGS, _MOCK_FLAGS) if http else (_MOCK_FLAGS, _HTTP_FLAGS)
     if ignored := _given(args, unread):
         where = "with" if http else "without"
         raise CliError(f"{', '.join(ignored)}: not read {where} --endpoint")
-    return _fields(args, read)
+    fields = _fields(args, read)
+    if not http:
+        mode = MockMode(fields.get("mode", MockBehavior.mode))
+        if ignored := [
+            flag for flag in _given(args, _MOCK_FLAGS)
+            if flag != "--mock-mode" and flag not in _MODE_FLAGS[mode]
+        ]:
+            raise CliError(f"{', '.join(ignored)}: not read by the {mode.value} mock")
+    return fields
 
 
 # --- subcommands -------------------------------------------------------------
@@ -172,10 +190,22 @@ def _write_log(records: list[ResultRecord], path: str) -> None:
         raise CliError(f"cannot write result log {path!r}: {exc}") from exc
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either is missing: no file is both
+        return False
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.from_log and (live := _given(args, _LIVE_FLAGS)):
         raise CliError(f"{', '.join(live)}: not read with --from-log")
     fields = _generator_fields(args)
+    # The log would replace an input. The --from-log log is read before the
+    # log is written, so --output may name it.
+    for flag in ("--graph", "--constraints", "--rules", "--dataset"):
+        if args.output and _same_file(args.output, getattr(args, flag[2:])):
+            raise CliError(f"--output: {args.output!r} is the {flag} file")
     graph, constraints = _load_graph(args)
     lexicon, rules = _load_extraction(args, graph)
     dataset = _load(load_dataset, args.dataset, "dataset", "dataset")

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from factgate.cli import main
+from factgate.cli import _LIVE_FLAGS, main
 
 from conftest import FIXTURES, REPO_ROOT
 
@@ -28,12 +30,30 @@ def rivers_rules_args():
 # --- validate -------------------------------------------------------------
 
 
-def test_validate_conforming_fixture(capsys):
+def test_validate_conforming_fixture(tmp_path, capsys):
     code = main(["validate"] + rivers_args())
     out = capsys.readouterr().out
     assert code == 0
-    assert out.splitlines()[0] == "triples=118 subjects=20 predicates=9"
-    assert "conforms=true" in out
+    assert out == "triples=118 subjects=20 predicates=9\nconforms=true\n"
+    # Two triples, each in two spellings, a comment and a blank line: the
+    # parse keeps one triple of each. The first <comment> literal holds a
+    # raw tab, which the second spells \t.
+    graph = tmp_path / "graph.nt"
+    graph.write_text(
+        "# The length of River_X, spelled twice.\n"
+        '<River_X> <length> "5" .\n'
+        "\n"
+        '<River_X> <length> "5"^^<http://www.w3.org/2001/XMLSchema#decimal> .\n'
+        '<River_X> <label> "X" .\n'
+        '<River_X> <comment> "a\tb" .\n'
+        '<River_X> <comment> "a\\tb" .\n'
+    )
+    code = main([
+        "validate", "--graph", str(graph),
+        "--constraints", str(RIVERS / "constraints.txt"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == "triples=3 subjects=1 predicates=3\nconforms=true\n"
 
 
 def test_validate_philosophers_fixture(capsys):
@@ -43,7 +63,7 @@ def test_validate_philosophers_fixture(capsys):
         "--constraints", str(PHILOSOPHERS / "constraints.txt"),
     ])
     assert code == 0
-    assert "conforms=true" in capsys.readouterr().out
+    assert capsys.readouterr().out == "triples=42 subjects=9 predicates=5\nconforms=true\n"
 
 
 def test_validate_reports_planted_violation(tmp_path, capsys):
@@ -61,6 +81,43 @@ def test_validate_reports_planted_violation(tmp_path, capsys):
     assert code == 1
     assert "conforms=false" in out
     assert "violation constraint=C6 focus=<River_Up>" in out
+    # A graph breaking each rivers constraint once: every violation is
+    # printed, in manifest order.
+    river = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <River> .\n"
+    graph.write_text(
+        f"<River_C1> {river}<River_C1> <hasTributary> <Lake_1> .\n"
+        f'<River_C2> {river}<River_C2> <sourceElevation> "-10" .\n'
+        f"<River_C3> {river}"
+        '<River_C3> <length> "0"^^<http://www.w3.org/2001/XMLSchema#integer> .\n'
+        f'<River_C4> {river}<River_C4> <discharge> "-1.5" .\n'
+        f'<River_C5> {river}<River_C5> <mouthElevation> "-200" .\n'
+        f'<River_C6> {river}<River_C6> <mouthElevation> "300.0" .\n'
+        '<River_C6> <sourceElevation> "200" .\n'
+        f"<River_C7> {river}<River_C7> <traverses> <State_U> .\n"
+        "<State_U> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <State> .\n"
+    )
+    code = main([
+        "validate", "--graph", str(graph),
+        "--constraints", str(RIVERS / "constraints.txt"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "triples=16 subjects=8 predicates=7\n"
+        "conforms=false\n"
+        "violation constraint=C1 focus=<River_C1> message=object 'Lake_1' of "
+        "<hasTributary> is not typed <River>\n"
+        "violation constraint=C2 focus=<River_C2> message=<sourceElevation> "
+        "value -10 is not > 0\n"
+        "violation constraint=C3 focus=<River_C3> message=<length> value 0 is not > 0\n"
+        "violation constraint=C4 focus=<River_C4> message=<discharge> value -1.5 "
+        "is not > 0\n"
+        "violation constraint=C5 focus=<River_C5> message=<mouthElevation> "
+        "value -200 is not >= -100\n"
+        "violation constraint=C6 focus=<River_C6> message=<mouthElevation> 300.0 "
+        "is not strictly less than <sourceElevation> 200\n"
+        "violation constraint=C7 focus=<River_C7> message=<River_C7> has "
+        "<traverses> <State_U> but lacks <inCountry> <United_States>\n"
+    )
 
 
 def test_validate_missing_file_is_exit_2(capsys):
@@ -134,6 +191,36 @@ def test_ask_entailed_question_answers(capsys):
     assert record["verdict"] == "ANSWER"
     assert record["claims"]
     assert all(c["entailed"] for c in record["claims"])
+    # At --max-hops 1 the context is the seed's own triples, all of them
+    # collected by the last hop. The echo mock answers from the first
+    # context line a rule can render, so a hop that collects another first
+    # line moves this one.
+    assert out == (
+        '{"abstain_reason": null, "claims": [{"entailed": true, '
+        '"rule_id": "R_discharge", "source_span": [0, 53], '
+        r'"supporting_triple": "<River_Colorado> <discharge> \"640.0\" .", '
+        r'"triple": "<River_Colorado> <discharge> \"640\" .", "violations": []}], '
+        '"question": "How long is the Colorado River?", '
+        '"response_text": "River Colorado discharges 640 cubic meters per second.", '
+        '"verdict": "ANSWER"}\n'
+    )
+    # River_Colorado has no incoming triple, so that line cannot show that
+    # the hop collects a seed's incoming triples; River_Gila's first
+    # renderable line is one of them.
+    code = main(
+        ["ask"] + rivers_rules_args()
+        + ["--max-hops", "1", "How long is the Gila River?"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"abstain_reason": null, "claims": [{"entailed": true, '
+        '"rule_id": "R_tributary", "source_span": [0, 39], '
+        '"supporting_triple": "<River_Colorado> <hasTributary> <River_Gila> .", '
+        '"triple": "<River_Colorado> <hasTributary> <River_Gila> .", "violations": []}], '
+        '"question": "How long is the Gila River?", '
+        '"response_text": "River Colorado has tributary River Gila.", '
+        '"verdict": "ANSWER"}\n'
+    )
 
 
 def test_ask_fabricated_fact_abstains(capsys):
@@ -241,6 +328,13 @@ def test_ask_fixed_mock_without_answer_is_input_error(capsys):
         ["ask"] + rivers_rules_args() + ["--mock-mode", "fixed", "question?"]
     )
     assert code == 2
+    # So is a noisy mock, when it is bound.
+    code = main(
+        ["ask"] + rivers_rules_args()
+        + ["--mock-mode", "noisy", "--p-correct", "1", "question?"]
+    )
+    assert code == 2
+    assert "the noisy mock requires an answer key" in capsys.readouterr().err
 
 
 def test_generator_flag_is_gone(capsys):
@@ -320,6 +414,46 @@ def test_http_flags_without_an_endpoint_are_input_errors(capsys):
         assert err.count(f"error: {flag}: not read without --endpoint\n") == 2
 
 
+# The mock flags each mock mode reads, besides --mock-mode.
+MODE_READS = {
+    "echo": set(),
+    "fixed": {"--answer"},
+    "noisy": {"--answer", "--p-correct", "--p-hallucinate", "--seed"},
+}
+MOCK_FLAG_VALUES = {
+    "--answer": "Colorado River is 2334 km long.", "--p-correct": "0.5",
+    "--p-hallucinate": "0.5", "--seed": "3",
+}
+
+
+@pytest.mark.parametrize(
+    "command, mode, flag",
+    [
+        (command, mode, flag)
+        for command in ("ask", "eval")
+        for mode in (None, *MODE_READS)  # None: no --mock-mode, the echo mock
+        for flag in MOCK_FLAG_VALUES
+        if flag not in MODE_READS[mode or "echo"]
+        and not (command == "eval" and flag == "--answer")  # eval has no --answer
+    ],
+)
+def test_mock_flag_the_mode_does_not_read_is_input_error(capsys, command, mode, flag):
+    # A flag the selected mock would not read is not silently dropped.
+    args = [flag, MOCK_FLAG_VALUES[flag]]
+    if mode is not None:
+        args += ["--mock-mode", mode]
+    if command == "ask":
+        if mode == "fixed":
+            args += ["--answer", MOCK_FLAG_VALUES["--answer"]]
+        argv = ["ask"] + rivers_rules_args() + args + ["How long is the Colorado River?"]
+    else:
+        argv = eval_args("--condition", "oracle", *args)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}: not read by the {mode or 'echo'} mock\n"
+
+
 def test_unusable_timeouts_are_input_errors(capsys, monkeypatch, endpoint):
     monkeypatch.setenv("FACTGATE_API_KEY", "sekrit")
     http = ["--endpoint", endpoint.url, "--model", "m"]
@@ -355,6 +489,23 @@ def test_label_predicate_flag_replaces_config_list(capsys):
     # No flag reads labels from `label`; a flag replaces that default, so an
     # unknown label predicate alone gives an empty lexicon, and no claims.
     assert ask() == 0
+    # At the default --max-hops (3) retrieval walks past the class and
+    # country hubs' edges. The echo mock answers from the first context
+    # line a rule can render, so a context with another first such line
+    # (its depth, bytes or order) moves this one.
+    default = capsys.readouterr().out
+    assert default == (
+        '{"abstain_reason": null, "claims": [{"entailed": true, '
+        '"rule_id": "R_discharge", "source_span": [0, 54], '
+        r'"supporting_triple": "<River_Arkansas> <discharge> \"1066.0\" .", '
+        r'"triple": "<River_Arkansas> <discharge> \"1066\" .", "violations": []}], '
+        '"question": "How long is the Colorado River?", '
+        '"response_text": "River Arkansas discharges 1066 cubic meters per second.", '
+        '"verdict": "ANSWER"}\n'
+    )
+    # An explicit --label-predicate label is the default lexicon: same line.
+    assert ask("--label-predicate", "label") == 0
+    assert capsys.readouterr().out == default
     assert ask("--label-predicate", "nolabel") == 3
     assert ask("--label-predicate", "nolabel", "--label-predicate", "label") == 0
 
@@ -412,18 +563,20 @@ def test_eval_unknown_condition_is_exit_2(capsys):
 
 
 def test_eval_writes_result_log_and_rescoring_matches(tmp_path, capsys):
-    log = tmp_path / "log.jsonl"
-    assert main(eval_args(
-        "--condition", "oracle", "--mock-mode", "noisy",
-        "--p-correct", "0.5", "--p-hallucinate", "0.5", "--seed", "11",
-        "--output", str(log),
-    )) == 0
-    first = capsys.readouterr().out
-    assert log.exists() and len(log.read_text().splitlines()) == 24
-    assert main(eval_args(
-        "--condition", "oracle", "--from-log", str(log)
-    )) == 0
-    assert capsys.readouterr().out == first
+    # The gated runner, and the ungated one that reads a context.
+    for condition in ("oracle", "context_only"):
+        log = tmp_path / f"{condition}.jsonl"
+        assert main(eval_args(
+            "--condition", condition, "--mock-mode", "noisy",
+            "--p-correct", "0.5", "--p-hallucinate", "0.5", "--seed", "11",
+            "--output", str(log),
+        )) == 0
+        first = capsys.readouterr().out
+        assert log.exists() and len(log.read_text().splitlines()) == 24
+        assert main(eval_args(
+            "--condition", condition, "--from-log", str(log)
+        )) == 0
+        assert capsys.readouterr().out == first
 
 
 def test_eval_result_log_with_string_flag_is_exit_2(tmp_path, capsys):
@@ -552,15 +705,20 @@ def test_misspelt_mock_mode_is_input_error(capsys):
     assert "--mock-mode" in err and "invalid choice" in err and "ecko" in err
 
 
-def test_eval_jobs_flag_gives_identical_output(capsys):
+def test_eval_jobs_flag_gives_identical_output(tmp_path, capsys):
     args = eval_args(
         "--condition", "oracle", "--mock-mode", "noisy",
         "--p-correct", "0.6", "--p-hallucinate", "0.3", "--seed", "3",
     )
-    assert main(args) == 0
+    serial_log = tmp_path / "serial.jsonl"
+    assert main(args + ["--output", str(serial_log)]) == 0
     serial = capsys.readouterr().out
-    assert main(args + ["--jobs", "4"]) == 0
-    assert capsys.readouterr().out == serial
+    # The same table, and the same log: its records in dataset order.
+    for jobs in ("3", "4"):
+        log = tmp_path / f"jobs{jobs}.jsonl"
+        assert main(args + ["--jobs", jobs, "--output", str(log)]) == 0
+        assert capsys.readouterr().out == serial
+        assert log.read_bytes() == serial_log.read_bytes()
 
 
 def test_eval_with_failed_items_is_exit_4(tmp_path, capsys, monkeypatch):
@@ -614,6 +772,30 @@ def test_eval_unwritable_output_fails_before_any_item(
     )) == 0
     assert capsys.readouterr().out == first
     assert log.read_text() == logged
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--constraints", "--rules", "--dataset"])
+def test_eval_output_naming_an_input_is_exit_2(tmp_path, capsys, flag):
+    # The log would replace the input, and the next run would fail to read
+    # it. Each input is a copy; the output names it by another path.
+    inputs = {"--graph": "graph.nt", "--constraints": "constraints.txt",
+              "--rules": "rules.txt", "--dataset": "qa.jsonl"}
+    args = []
+    for name, file in inputs.items():
+        (tmp_path / file).write_bytes((RIVERS / file).read_bytes())
+        args += [name, str(tmp_path / file)]
+    (tmp_path / "sub").mkdir()
+    output = str(tmp_path / "sub" / ".." / inputs[flag])
+    log = tmp_path / "log.jsonl"
+    assert main(["eval", *args, "--condition", "oracle", "--output", str(log)]) == 0
+    capsys.readouterr()
+    for extra in ([], ["--from-log", str(log)]):
+        argv = ["eval", *args, "--condition", "oracle", *extra, "--output", output]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --output: {output!r} is the {flag} file\n"
+        assert (tmp_path / inputs[flag]).read_bytes() == (RIVERS / inputs[flag]).read_bytes()
 
 
 def dataset_of(tmp_path, *edits):
@@ -746,6 +928,35 @@ def test_eval_json_nested_too_deep_is_exit_2(tmp_path, flag):
     assert proc.returncode == 2
     assert f"{str(deep)!r}: line 1: bad JSON: nested too deep" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+# --- README -----------------------------------------------------------------------
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", section, re.S | re.M)
+    commands = [text for lang, text in blocks if lang == "sh"]
+    (table,) = [text for lang, text in blocks if not lang]
+    monkeypatch.chdir(REPO_ROOT)
+    log = str(tmp_path / "run.jsonl")
+    for command, code in zip(commands, (0, 0, 3, 0), strict=True):
+        argv = shlex.split(command.replace("\\\n", " "))
+        assert argv[0] == "factgate"
+        argv = [log if arg == "run.jsonl" else arg for arg in argv[1:]]
+        assert main(argv) == code, command
+        out = capsys.readouterr().out
+    assert out == table  # the eval's table, byte for byte
+    # The eval re-scored from its log, its live-run flags dropped: the same table.
+    rescore, flags = [], iter(argv)
+    for arg in flags:
+        if arg in _LIVE_FLAGS:
+            next(flags)
+        else:
+            rescore.append("--from-log" if arg == "--output" else arg)
+    assert main(rescore) == 0
+    assert capsys.readouterr().out == table
+
 
 # --- end-to-end process ---------------------------------------------------------
 
