@@ -12,6 +12,9 @@ passing it the few units around the claim's subject; there is no per-unit
 check. A type or requirement test is a lookup in the graph's subject set of
 its (predicate, object) pair (Graph.subjects_of), built once per graph and
 shared by every later call, and fetched once per check, not once per unit.
+An ordering or interval test reads numbers the same way: the least or
+greatest of a node's values of a predicate, one lookup in a map the graph
+keeps per predicate (Graph.least, Graph.greatest).
 A claim is charged with exactly the violations that asserting it would add,
 found by re-checking only the units around its subject, up to the term
 equality entailment uses (term_matches): a claim the graph entails adds
@@ -25,6 +28,8 @@ ConditionalRequirement which demands presence.
 from __future__ import annotations
 
 import operator
+from collections import ChainMap
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from decimal import Decimal
 
@@ -68,11 +73,14 @@ def _violation_order(v: Violation) -> tuple:
 
 class _GraphPlusClaim:
     """Read-only view of a graph plus one triple it does not hold. It answers
-    the queries the checks make of a graph: `match`, `subjects_of` and
-    `holds`. `subjects_of` returns the graph's own set, or, for the claim's
-    (predicate, object) pair, a copy with the claim's subject added, so the
-    graph's kept sets never change; `holds` tests the same membership
-    without the copy."""
+    the queries the checks make of a graph: `match`, `subjects_of`, `holds`,
+    `least` and `greatest`. `subjects_of` returns the graph's own set, or,
+    for the claim's (predicate, object) pair, a copy with the claim's subject
+    added, so the graph's kept sets never change; `holds` tests the same
+    membership without the copy. `least` and `greatest` return the graph's
+    own map, or, for a numeric claim of that predicate, the map under a
+    one-entry layer holding the claim subject's value with the claim's
+    number counted in; the graph's kept maps never change either."""
 
     __slots__ = ("graph", "claim")
 
@@ -104,40 +112,56 @@ class _GraphPlusClaim:
     def holds(self, s: Iri, p: Iri, o: Iri) -> bool:
         return self.graph.holds(s, p, o) or self._claim_matches(s, p, o)
 
+    def least(self, p: Iri) -> Mapping[str, Decimal]:
+        return self._with_claim(self.graph.least(p), p, operator.lt)
+
+    def greatest(self, p: Iri) -> Mapping[str, Decimal]:
+        return self._with_claim(self.graph.greatest(p), p, operator.gt)
+
+    def _with_claim(
+        self, kept: dict[str, Decimal], p: Iri, beats
+    ) -> Mapping[str, Decimal]:
+        """`kept` with the claim's number counted in, if the claim is a
+        number of `p`. The graph's value stays on a tie: the view's `match`
+        lists the claim after the graph's triples."""
+        c = self.claim
+        o = c.object
+        if c.predicate != p or not isinstance(o, Literal) or o.numeric is None:
+            return kept
+        s = c.subject.value
+        value = kept.get(s)
+        if value is None or beats(o.numeric, value):
+            value = o.numeric
+        return ChainMap({s: value}, kept)
+
 
 _View = Graph | _GraphPlusClaim
-
-
-def _numeric_values(graph: _View, node: Iri, prop: Iri) -> list[Decimal]:
-    return [
-        t.object.numeric
-        for t in graph.match(s=node, p=prop)
-        if isinstance(t.object, Literal) and t.object.numeric is not None
-    ]
 
 
 # Every constraint has one check shape: `check(graph, units)` on a batch of
 # its units, which are triples of its `unit_predicate`; `evaluate` passes
 # every unit of a graph, `check_around` the few around a claim. A check
-# fetches the subject sets and parameters it needs once per call, then tests
-# each unit, and builds a violation's message only for a unit that fails. A
-# constraint with a `unit_class` (the numeric bounds and ordering) takes as
-# units only the triples whose subject has that class, and its check reads
-# only triples of the unit's subject. One without (object typing,
-# requirements, intervals) takes every triple of the predicate, and its check
-# reads triples of the unit's subject and of its object. The graph is read
-# only through `match` and `subjects_of` (and `holds`, a test in the same
-# set), which a Graph answers from its own indexes and kept sets, and every
-# violation carries its unit as its triple and the unit's subject as its
-# focus. So a claim (x, p, o) can touch only the units whose subject is x,
-# if x has the unit class, and, for a check that reads objects, those whose
-# object is x; the claim itself is one of the former once asserted. Those
-# are the units `check_around` re-checks.
+# fetches the subject sets, number maps and parameters it needs once per
+# call, then tests each unit, and builds a violation's message only for a
+# unit that fails. A constraint with a `unit_class` (the numeric bounds and
+# ordering) takes as units only the triples whose subject has that class, and
+# its check reads only triples of the unit's subject. One without (object
+# typing, requirements, intervals) takes every triple of the predicate, and
+# its check reads triples of the unit's subject and, of its object, those of
+# the predicates in `object_reads`. The graph is read only through `match`,
+# `subjects_of` (and `holds`, a test in the same set), `least` and
+# `greatest`, which a Graph answers from its own indexes, kept sets and kept
+# maps, and every violation carries its unit as its triple and the unit's
+# subject as its focus. So a claim (x, p, o) can touch only the units whose
+# subject is x, if x has the unit class, and, for a check that reads p of
+# objects, those whose object is x; the claim itself is one of the former
+# once asserted. Those are the units `check_around` re-checks.
 
 
 class _Check:
     unit_class: Iri | None = None
     unit_predicate = property(lambda self: self.predicate)
+    object_reads: tuple[Iri, ...] = ()
 
     def evaluate(self, graph: Graph) -> list[Violation]:
         """The violations of every unit: one scan of the predicate's triples."""
@@ -147,13 +171,14 @@ class _Check:
             units = [t for t in units if t.subject.value in typed]
         return self.check(graph, units)
 
-    def check_around(self, graph: _View, node: Iri) -> list[Violation]:
-        """The violations of the units a claim on `node` can touch."""
-        p, cls = self.unit_predicate, self.unit_class
+    def check_around(self, graph: _View, claim: Triple) -> list[Violation]:
+        """The violations of the units `claim` can touch."""
+        p, cls, node = self.unit_predicate, self.unit_class, claim.subject
         if cls is None:
-            incoming = graph.match(p=p, o=node)
             units = graph.match(s=node, p=p)
-            units += [t for t in incoming if t.subject != node]
+            if claim.predicate in self.object_reads:
+                incoming = graph.match(p=p, o=node)
+                units += [t for t in incoming if t.subject != node]
         elif graph.holds(node, RDF_TYPE, cls):
             units = graph.match(s=node, p=p)
         else:
@@ -171,6 +196,8 @@ class ClassOfObject(_Check):
     id: str
     predicate: Iri
     target_class: Iri
+
+    object_reads = (RDF_TYPE,)
 
     def check(self, graph: _View, units: list[Triple]) -> list[Violation]:
         typed = graph.subjects_of(RDF_TYPE, self.target_class)
@@ -225,6 +252,10 @@ class NumericBound(_Check):
         ]
 
 
+# The least `greater` value of a node that has none: every number is below it.
+_NO_BOUND = Decimal("Infinity")
+
+
 @dataclass(frozen=True)
 class LessThanProperty(_Check):
     """On `target_class` nodes, every `lesser` value < every `greater` value.
@@ -239,6 +270,9 @@ class LessThanProperty(_Check):
     unit_predicate = property(lambda self: self.lesser)
 
     def check(self, graph: _View, units: list[Triple]) -> list[Violation]:
+        # A unit below its subject's least `greater` value passes; only one
+        # that fails reads its `greater` triples, one violation each.
+        least = graph.least(self.greater).get
         match, greater = graph.match, self.greater
         return [
             self._violation(
@@ -247,7 +281,9 @@ class LessThanProperty(_Check):
                 f"less than <{greater.value}> {decimal_lexical(gv)}",
             )
             for t in units
-            if isinstance(t.object, Literal) and (lv := t.object.numeric) is not None
+            if isinstance(t.object, Literal)
+            and (lv := t.object.numeric) is not None
+            and not lv < least(t.subject.value, _NO_BOUND)
             for g in match(s=t.subject, p=greater)
             if isinstance(g.object, Literal)
             and (gv := g.object.numeric) is not None
@@ -265,6 +301,8 @@ class ConditionalRequirement(_Check):
     object_class: Iri
     required_predicate: Iri
     required_object: Iri
+
+    object_reads = (RDF_TYPE,)
 
     def check(self, graph: _View, units: list[Triple]) -> list[Violation]:
         typed = graph.subjects_of(RDF_TYPE, self.object_class)
@@ -293,15 +331,18 @@ class IntervalOverlap(_Check):
     start: Iri
     end: Iri
 
-    def _interval(self, graph: _View, node: Iri) -> tuple[Decimal, Decimal] | None:
-        starts = _numeric_values(graph, node, self.start)
-        ends = _numeric_values(graph, node, self.end)
-        if not starts or not ends:
-            return None
-        # Multi-valued endpoints take the widest reading.
-        return min(starts), max(ends)
+    object_reads = property(lambda self: (self.start, self.end))
 
     def check(self, graph: _View, units: list[Triple]) -> list[Violation]:
+        # Multi-valued endpoints take the widest reading.
+        starts, ends = graph.least(self.start), graph.greatest(self.end)
+
+        def interval(node: Iri) -> tuple[Decimal, Decimal] | None:
+            key = node.value
+            if key in starts and key in ends:
+                return starts[key], ends[key]
+            return None
+
         return [
             self._violation(
                 t,
@@ -312,8 +353,8 @@ class IntervalOverlap(_Check):
             )
             for t in units
             if isinstance(t.object, Iri)
-            and (a := self._interval(graph, t.subject)) is not None
-            and (b := self._interval(graph, t.object)) is not None
+            and (a := interval(t.subject)) is not None
+            and (b := interval(t.object)) is not None
             and not (a[0] <= b[1] and b[0] <= a[1])
         ]
 
@@ -389,11 +430,10 @@ def validate_claim(
     """
     if graph.contains(claim_triple):
         return []
-    node = claim_triple.subject
     with_claim = _GraphPlusClaim(graph, claim_triple)
     new: list[Violation] = []
     for constraint in constraints:
-        before = set(constraint.check_around(graph, node))
-        after = set(constraint.check_around(with_claim, node))
+        before = set(constraint.check_around(graph, claim_triple))
+        after = set(constraint.check_around(with_claim, claim_triple))
         new.extend(sorted(after - before, key=_violation_order))
     return new

@@ -407,15 +407,16 @@ class Graph:
     only ints. All query results come out sorted, and every lookup is
     equivalent to a linear scan. The hubs, flagged by node id at build,
     are the classes (`rdf:type` objects) and the nodes of more than
-    HUB_DEGREE triples. Two caches are filled lazily, so no line is
-    rendered and no set gathered at build: the rendered lines (see
-    serialize_ntriples), and the subject sets of subjects_of, which back
-    holds.
+    HUB_DEGREE triples. Three caches are filled lazily, so no line is
+    rendered, no set gathered and no number compared at build: the
+    rendered lines (see serialize_ntriples), the subject sets of
+    subjects_of, which back holds, and the per-subject least and greatest
+    numbers of least and greatest.
     """
 
     __slots__ = (
         "_triples", "_spo", "_pos", "_ids", "_adj", "_subjects", "_objects",
-        "_hubs", "_lines", "_subject_sets",
+        "_hubs", "_lines", "_subject_sets", "_extremes",
     )
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -507,6 +508,7 @@ class Graph:
             self._hubs = hubs
             self._lines: list[str | None] | None = None
             self._subject_sets: dict[tuple[str, str], set[str]] = {}
+            self._extremes: dict[str, tuple[dict[str, Decimal], ...]] = {}
         finally:
             if enabled:
                 gc.enable()
@@ -557,6 +559,41 @@ class Graph:
                 for t in self._pos.get(p.value, ())
                 if isinstance(t.object, Iri) and t.object.value == o.value
             }
+        return found
+
+    def least(self, p: Iri) -> dict[str, Decimal]:
+        """The least number among each subject's numeric `p` objects, keyed
+        by the subject's IRI string; a subject with none is absent. Of equal
+        numbers (`"5"`, `"5.0"`) the first in sorted order is kept, as `min`
+        over match keeps it. Both maps of `p` are gathered on its first
+        ask and kept for the graph's life, like the subject sets: two first
+        asks at once may each gather them, and store equal maps. Callers
+        must not change the dict."""
+        return (self._extremes.get(p.value) or self._gather_extremes(p))[0]
+
+    def greatest(self, p: Iri) -> dict[str, Decimal]:
+        """`least`, for the greatest number."""
+        return (self._extremes.get(p.value) or self._gather_extremes(p))[1]
+
+    def _gather_extremes(self, p: Iri) -> tuple[dict[str, Decimal], ...]:
+        """Both maps of `p`, from one pass over its triples. A map's keys
+        and values are the triples' own strings and Decimals, which the
+        collector does not track: the pass makes no container per subject,
+        so it adds nothing for a collection to count or walk."""
+        least: dict[str, Decimal] = {}
+        greatest: dict[str, Decimal] = {}
+        for t in self._pos.get(p.value, ()):
+            o = t.object
+            if isinstance(o, Literal) and (value := o.numeric) is not None:
+                s = t.subject.value
+                low = least.get(s)
+                if low is None:
+                    least[s] = greatest[s] = value
+                elif value < low:
+                    least[s] = value
+                elif value > greatest[s]:
+                    greatest[s] = value
+        found = self._extremes[p.value] = (least, greatest)
         return found
 
     def holds(self, s: Iri, p: Iri, o: Iri) -> bool:

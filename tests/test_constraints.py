@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from factgate.constraints import (
@@ -18,6 +18,7 @@ from factgate.constraints import (
     NumericBound,
     ValidationReport,
     Violation,
+    _GraphPlusClaim,
     parse_manifest,
     validate_claim,
     validate_graph,
@@ -38,7 +39,7 @@ from factgate.kg import (
 )
 
 from conftest import FIXTURES
-from test_kg import same_term
+from test_kg import _spelled, same_term
 
 TYPE = f"<{RDF_TYPE_IRI}>"
 
@@ -532,6 +533,29 @@ def test_claim_is_charged_with_a_violation_focused_on_another_node():
     assert violations[0].triple == Triple(Iri("A"), Iri("influenced"), Iri("B"))
 
 
+def test_an_end_claim_is_charged_with_a_violation_focused_on_another_node():
+    # The test above with the endpoints swapped: B has a birth year, and a
+    # claimed death year gives it an interval that breaks P1 on (A influenced
+    # B). Edges into a claim's subject are re-checked only for a predicate
+    # the check reads of an object; here both endpoints are read.
+    g = parse_ntriples(
+        "\n".join(
+            [
+                '<A> <birthYear> "1700" .',
+                '<A> <deathYear> "1750" .',
+                '<B> <birthYear> "1900" .',
+                "<A> <influenced> <B> .",
+            ]
+        )
+    )
+    cs = parse_manifest(PHILOSOPHER_MANIFEST)
+    assert validate_graph(g, cs).conforms
+    claim = Triple(Iri("B"), Iri("deathYear"), Literal("1950", Datatype.DECIMAL))
+    violations = validate_claim(claim, g, cs)
+    assert [(v.constraint_id, v.focus) for v in violations] == [("P1", Iri("A"))]
+    assert violations == brute_force_claim_violations(claim, g, cs)
+
+
 def test_claim_the_graph_holds_adds_nothing():
     g = parse_ntriples(river("R", sourceElevation="-5"))
     held = Triple(Iri("R"), Iri("sourceElevation"), Literal("-5", Datatype.DECIMAL))
@@ -976,3 +1000,26 @@ def test_validate_graph_matches_the_reference_on_random_graphs(rivers, triples):
     graph = Graph([*(Triple(n, RDF_TYPE, Iri("River")) for n in rivers), *triples])
     cs = parse_manifest(ALL_KINDS_MANIFEST)
     assert validate_graph(graph, cs) == reference_report(graph, cs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    triples=st.lists(_oracle_triples(), max_size=32),
+    claim=_oracle_triples(),
+)
+def test_the_claim_view_reads_numbers_as_the_graph_with_the_claim(triples, claim):
+    # validate_claim only ever views a claim the graph does not entail.
+    graph = Graph(triples)
+    assume(not graph.contains(claim))
+    cs = parse_manifest(ALL_KINDS_MANIFEST)
+    validate_graph(graph, cs)  # the graph gathers the maps its checks read
+    kept = [(graph.least(p), graph.greatest(p)) for p in _ORACLE_NUMERIC]
+    before = [(_spelled(a), _spelled(b)) for a, b in kept]
+    view, built = _GraphPlusClaim(graph, claim), Graph([*triples, claim])
+    for p in {*_ORACLE_NUMERIC, claim.predicate}:
+        assert _spelled(view.least(p)) == _spelled(built.least(p))
+        assert _spelled(view.greatest(p)) == _spelled(built.greatest(p))
+    validate_claim(claim, graph, cs)
+    for p, (least, greatest), spelled in zip(_ORACLE_NUMERIC, kept, before):
+        assert graph.least(p) is least and graph.greatest(p) is greatest
+        assert (_spelled(least), _spelled(greatest)) == spelled

@@ -676,6 +676,68 @@ def test_subjects_of_is_a_scan(triples):
             assert g.subjects_of(p, o) is found  # kept, not gathered again
 
 
+# One number in three spellings, numbers below and above it (one of them in
+# two spellings), and objects of a numeric predicate that are no number.
+_EXTREME_OBJECTS = [
+    lit("5"), lit("5.0"), lit("5", Datatype.INTEGER), lit("-1"), lit("7.5"),
+    lit("7.50"), lit("12", Datatype.INTEGER), Literal("5", Datatype.STRING),
+    Literal("x", Datatype.STRING), Iri("a"),
+]
+_EXTREME_PREDICATES = [Iri("p0"), Iri("p1")]
+
+
+def _spelled(values) -> dict:
+    """A subject -> number map with each number's spelling: `"5"` and
+    `"5.0"` are one value but print apart, and a message prints them."""
+    return {s: (v, str(v)) for s, v in values.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            Triple,
+            st.sampled_from(_SET_SUBJECTS),
+            st.sampled_from(_EXTREME_PREDICATES),
+            st.sampled_from(_EXTREME_OBJECTS),
+        ),
+        max_size=16,
+    )
+)
+def test_least_and_greatest_are_min_and_max_over_match(triples):
+    g = Graph(triples)
+    for p in [*_EXTREME_PREDICATES, Iri("absent")]:
+        numbers: dict[str, list[Decimal]] = {}
+        for t in g.match(p=p):
+            if isinstance(t.object, Literal) and t.object.numeric is not None:
+                numbers.setdefault(t.subject.value, []).append(t.object.numeric)
+        least, greatest = g.least(p), g.greatest(p)
+        assert _spelled(least) == _spelled({s: min(v) for s, v in numbers.items()})
+        assert _spelled(greatest) == _spelled({s: max(v) for s, v in numbers.items()})
+        assert g.least(p) is least and g.greatest(p) is greatest  # kept
+
+
+def test_least_and_greatest_make_no_container_per_subject(collector):
+    # The maps hold the triples' own strings and Decimals, which the
+    # collector does not track. A map of a container per subject (a tuple of
+    # its values) made one tracked object per subject, and so young
+    # collections during a cold validate, one of them over the whole graph.
+    p = Iri("p")
+    growth = []
+    for n in (200, 2000):
+        g = parse_ntriples(
+            "".join(f'<n{i}> <p> "{i}" .\n<n{i}> <p> "{i}.5" .\n' for i in range(n))
+        )
+        gc.disable()
+        before = gc.get_count()[0]
+        least, greatest = g.least(p), g.greatest(p)
+        growth.append(gc.get_count()[0] - before)
+        gc.enable()
+        assert len(least) == len(greatest) == n
+        assert str(least["n7"]) == "7" and str(greatest["n7"]) == "7.5"
+    assert growth[0] == growth[1] <= 4
+
+
 def test_match_orders_deterministically():
     g = parse_ntriples(
         "<b> <p> <x> .\n<a> <q> <x> .\n<a> <p> <y> .\n<a> <p> <x> .\n<x> <p> <a> ."
