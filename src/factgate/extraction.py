@@ -1,10 +1,11 @@
 """Rule-based claim extraction.
 
 Factual triples are pulled out of free text by matching predicate patterns
-(`SUBJ is OBJ km long`) whose entity slots must resolve through an alias
-lexicon derived from the graph's labeled entities. Numeric objects are
-multiplied exactly by each rule's unit scale at extraction time, so
-downstream entailment checks compare like with like.
+(`SUBJ is OBJ km long`) whose slots take their values from one scan of the
+text (`Lexicon.mentions`): the aliases of a lexicon derived from the graph's
+labeled entities, and number tokens. Numeric objects are multiplied exactly
+by each rule's unit scale at extraction time, so downstream entailment
+checks compare like with like.
 
 The extractor is deliberately dumb and deterministic: anything it cannot
 resolve is dropped, never invented. The licensing gate depends only on the
@@ -16,8 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Inexact
-from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .kg import (
     EXACT,
@@ -39,10 +40,14 @@ from .kg import (
 
 # A plain decimal number token in free text (no exponent, no trailing dot).
 NUMBER_TOKEN_RE = re.compile(r"[+-]?(?:\d+\.\d+|\d+|\.\d+)")
-_NUMBER_RUN_RE = re.compile(r"[+-]?[\d.]*")
+# The longest number token at a position not right after a digit; group 1 is
+# its integer part if a fraction, group 2, follows.
+_NUMBER_RE = re.compile(r"(?<!\d)[+-]?(?:(\d+)(\.\d+)?|\.\d+)")
 _SLOT_RE = re.compile(r"\b(SUBJ|OBJ)\b")
 _WORD_BOUNDARY_L = r"(?<![0-9A-Za-z_])"
 _WORD_BOUNDARY_R = r"(?![0-9A-Za-z_])"
+_WORD_START_RE = re.compile(_WORD_BOUNDARY_L + r"\S", re.IGNORECASE)
+_WORD_END_RE = re.compile(_WORD_BOUNDARY_R, re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -146,30 +151,18 @@ def _fold_key(ch: str) -> str:
     return _fold(ch) + _KEY_END
 
 
-# A scan of one text: for a position, each value a slot can take there with
-# its end, in the order a regex backtracks through them.
-_Scan = Callable[[int], list[tuple[str, int]]]
-
-
-def _numbers_at(text: str, pos: int) -> list[tuple[str, int]]:
-    """Number tokens at `pos`, longest first: the order in which a regex
-    backtracks into NUMBER_TOKEN_RE, whose every way to match ends at a
-    different place."""
-    end = _NUMBER_RUN_RE.match(text, pos).end()
-    return [
-        (text[pos:e], e)
-        for e in range(end, pos, -1)
-        if NUMBER_TOKEN_RE.fullmatch(text, pos, e)
-    ]
+# For each start, the values a slot can take there and their ends, in backtracking order.
+Mentions = dict[int, list[tuple[str, int]]]
 
 
 @dataclass(frozen=True)
 class Lexicon:
     """Lowercased surface-form → entity map built from graph labels.
 
-    Text is matched against the aliases through a character trie keyed by
-    `_fold`, built on first use and kept for the lexicon's lifetime, so
-    `alias_to_iri` must not change once the lexicon is in use.
+    `mentions` indexes a text's alias and number mentions in one pass.
+    Aliases are matched through a character trie keyed by `_fold`, built on
+    first use and kept for the lexicon's lifetime, so `alias_to_iri` must
+    not change once the lexicon is in use.
     """
 
     alias_to_iri: dict[str, Iri]
@@ -197,42 +190,52 @@ class Lexicon:
             trie[prefix] += (alias,)
         return trie
 
-    def _scan(self, text: str) -> _Scan:
-        """A memoized alias scan of `text`, in the preference order of an
-        alternation sorted by (-len(alias), alias). The text is keyed
-        through `_fold_key`, whose process-wide cache folds a character once
-        while it stays cached. A space in an alias consumes a whole
-        whitespace run, as `\\s+` does in the alternation: a shorter run is
-        followed by whitespace, which no alias character matches."""
+    def mentions(self, text: str) -> tuple[Mentions, Mentions]:
+        """The alias and the number mentions of `text`, from one pass over
+        the positions where a word starts. Only values ending at a word
+        boundary are kept: each rule slot has one on both sides, since no
+        character outside `\\w` matches the boundary class, even
+        case-insensitively.
+
+        Aliases come longest first, then by alias, as in an alternation. The
+        text is keyed through `_fold_key`; a space in an alias consumes a
+        whole whitespace run, as `\\s+` does, since no alias character is
+        whitespace. Numbers come longest first, as a regex backtracks into
+        NUMBER_TOKEN_RE, and are read whole: none starts right after a digit
+        or ends right before one, so only the longest token and its integer
+        part before a fraction are kept. The boundary ensures this for ASCII
+        digits; a regex reads a run of non-ASCII ones (`\\d` holds them, the
+        boundary class does not) as each of its prefixes. The pass takes
+        time linear in the text's length.
+        """
         keys = list(map(_fold_key, text))
         space = " " + _KEY_END
         n = len(keys)
-        trie = self._trie
-        memo: dict[int, list[tuple[str, int]]] = {}
-
-        def aliases_at(start: int) -> list[tuple[str, int]]:
-            found = memo.get(start)
-            if found is not None:
-                return found
+        trie, word_end = self._trie, _WORD_END_RE.match
+        aliases: Mentions = {}
+        numbers: Mentions = {}
+        for start in map(re.Match.start, _WORD_START_RE.finditer(text)):
             prefix, hits, i = "", [], start
             while i < n:
                 key = keys[i]
                 prefix += key
-                aliases = trie.get(prefix)
-                if aliases is None:
+                found = trie.get(prefix)
+                if found is None:
                     break
                 i += 1
                 if key == space:
                     while i < n and keys[i] == space:
                         i += 1
-                if aliases:
-                    hits.append((aliases, i))
-            found = memo[start] = [
-                (alias, end) for aliases, end in reversed(hits) for alias in aliases
-            ]
-            return found
-
-        return aliases_at
+                if found and word_end(text, i):
+                    hits.append((found, i))
+            if hits:
+                aliases[start] = [(a, e) for names, e in reversed(hits) for a in names]
+            if number := _NUMBER_RE.match(text, start):
+                ends = (number.end(), number.end(1)) if number[2] else (number.end(),)
+                values = [(text[start:e], e) for e in ends if word_end(text, e)]
+                if values:
+                    numbers[start] = values
+        return aliases, numbers
 
 
 def build_lexicon(graph: Graph, label_predicates: Sequence[Iri]) -> Lexicon:
@@ -277,43 +280,42 @@ def build_lexicon(graph: Graph, label_predicates: Sequence[Iri]) -> Lexicon:
 
 
 def _matches(
-    segments: Sequence[re.Pattern[str]], scans: Sequence[_Scan], text: str
+    segments: Sequence[re.Pattern[str]], mentions: Sequence[Mentions], text: str
 ) -> Iterator[tuple[int, int, list[str]]]:
     """`finditer` over the regex that joins `segments` with one slot between
     each pair: leftmost, non-overlapping matches as (start, end, slot values).
 
-    Each slot backtracks over its scan's values in order. A segment is taken
-    at its first match only: it is literal text, so before a slot it can end
-    elsewhere only inside a whitespace run, where no slot value starts.
+    Each slot backtracks over its mentions at the position it reaches, in
+    order. A segment is taken at its first match only: it is literal text, so
+    before a slot it can end elsewhere only inside a whitespace run, where no
+    mention starts.
 
-    A match of the joined regex holds a match of every segment, and each
-    segment carries its own boundary, so a text in which some segment after
-    the first has no match anywhere yields nothing, and is not scanned.
+    A rule that starts with a slot, whose first segment is a bare word
+    boundary, is tried only at that slot's mentions; any other rule at every
+    position. A match holds a match of every segment, so a text in which
+    some segment has no match anywhere yields nothing.
     """
-    if not all(segment.search(text) for segment in segments[1:]):
+    if not all(segment.search(text) for segment in segments):
         return
 
     def rest(k: int, pos: int) -> tuple[list[str], int] | None:
-        for value, end in scans[k](pos):
+        if k == len(mentions):
+            return [], pos
+        for value, end in mentions[k].get(pos, ()):
             m = segments[k + 1].match(text, end)
-            if m is None:
-                continue
-            if k + 1 == len(scans):
-                return [value], m.end()
-            found = rest(k + 1, m.end())
-            if found is not None:
+            if m and (found := rest(k + 1, m.end())):
                 return [value, *found[0]], found[1]
         return None
 
+    bare = segments[0].pattern == _WORD_BOUNDARY_L
     pos = 0
-    # A match holds a slot value, so it cannot start at the end of the text.
-    while pos < len(text) and (first := segments[0].search(text, pos)):
-        found = rest(0, first.end())
-        if found is None:
-            pos = first.start() + 1
+    for start in mentions[0] if bare else range(len(text)):
+        if start < pos or not (first := segments[0].match(text, start)):
             continue
-        values, pos = found
-        yield first.start(), pos, values
+        found = rest(0, first.end())
+        if found is not None:
+            values, pos = found
+            yield start, pos, values
 
 
 def extract_claims(
@@ -325,14 +327,13 @@ def extract_claims(
     aliases (longest alias wins at each position), so unresolvable mentions
     simply yield no claim. Output is ordered by span start, then rule id.
     """
-    aliases_at = lexicon._scan(text)
-    numbers_at = partial(_numbers_at, text)
+    aliases, numbers = lexicon.mentions(text)
     claims: list[Claim] = []
     for rule in rules:
         segments, slots = rule._segments
         numeric = rule.object_kind == "numeric"
-        scans = [numbers_at if numeric and s == "OBJ" else aliases_at for s in slots]
-        for start, end, values in _matches(segments, scans, text):
+        mentions = [numbers if numeric and s == "OBJ" else aliases for s in slots]
+        for start, end, values in _matches(segments, mentions, text):
             found = dict(zip(slots, values))
             obj: Iri | Literal
             if numeric:
@@ -348,19 +349,16 @@ def extract_claims(
     return claims
 
 
-_MENTION_SEGMENTS = (
-    re.compile(_WORD_BOUNDARY_L, re.IGNORECASE),
-    re.compile(_WORD_BOUNDARY_R, re.IGNORECASE),
-)
-
-
 def link_question_entities(question: str, lexicon: Lexicon) -> set[Iri]:
-    """Entities mentioned in a question, longest alias winning on overlaps."""
-    scans = [lexicon._scan(question)]
-    return {
-        lexicon.alias_to_iri[alias]
-        for _, _, (alias,) in _matches(_MENTION_SEGMENTS, scans, question)
-    }
+    """Entities mentioned in a question: from left to right, the longest
+    alias at a mention start, the scan resuming at that alias's end."""
+    entities: set[Iri] = set()
+    pos = 0
+    for start, hits in lexicon.mentions(question)[0].items():
+        if start >= pos:
+            alias, pos = hits[0]
+            entities.add(lexicon.alias_to_iri[alias])
+    return entities
 
 
 _RULE_LINE_RE = re.compile(r'^(\S+)\s+"([^"]*)"\s*(.*)$')

@@ -6,6 +6,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -592,6 +593,12 @@ def _lexicon_and_text(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(_lexicon_and_text())
+# Boundaries next to characters that fold into the boundary class: long s
+# and the Kelvin sign are word characters there, so neither text links
+# anything; é is not, so "arizona" links.
+@example((LEXICONS[0], "arizonaſalt river"))
+@example((LEXICONS[0], "ArizonaK"))
+@example((LEXICONS[0], "Arizonaé"))
 def test_trie_scan_agrees_with_regex_alternation(lexicon_and_text):
     lexicon, text = lexicon_and_text
     assert extract_claims(text, lexicon, EQUIVALENCE_RULES) == oracle_extract_claims(
@@ -600,6 +607,75 @@ def test_trie_scan_agrees_with_regex_alternation(lexicon_and_text):
     assert link_question_entities(text, lexicon) == oracle_link_question_entities(
         text, lexicon
     )
+
+
+@lru_cache(maxsize=None)
+def _alias_pattern(alias):
+    return re.compile(_alias_regex(alias) + _R, re.IGNORECASE)
+
+
+def oracle_mentions(text, lexicon):
+    """`Lexicon.mentions` read off the regexes, one position at a time. A
+    number never starts right after a digit: at a word boundary, only a
+    non-ASCII digit can be there."""
+    ordered = sorted(lexicon.alias_to_iri, key=lambda a: (-len(a), a))
+    boundary_l = re.compile(_L, re.IGNORECASE)
+    boundary_r = re.compile(_R, re.IGNORECASE)
+    after_digit = re.compile(r"(?<=\d)")
+    aliases, numbers = {}, {}
+    for start in range(len(text)):
+        if not boundary_l.match(text, start):
+            continue
+        found = [(a, m.end()) for a in ordered if (m := _alias_pattern(a).match(text, start))]
+        if found:
+            aliases[start] = found
+        if after_digit.match(text, start):
+            continue
+        found = [
+            (text[start:end], end)
+            for end in range(len(text), start, -1)
+            if NUMBER_TOKEN_RE.fullmatch(text, start, end) and boundary_r.match(text, end)
+        ]
+        if found:
+            numbers[start] = found
+    return aliases, numbers
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lexicon_and_text())
+def test_mention_index_agrees_with_the_regex(lexicon_and_text):
+    lexicon, text = lexicon_and_text
+    aliases, numbers = lexicon.mentions(text)
+    expected_aliases, expected_numbers = oracle_mentions(text, lexicon)
+    assert list(aliases.items()) == list(expected_aliases.items())
+    assert list(numbers.items()) == list(expected_numbers.items())
+
+
+@pytest.mark.parametrize("digit", ["1", "\u0663"])  # an ASCII and an Arabic-Indic 3
+def test_a_long_digit_run_is_one_number_value(digit):
+    # Every prefix of the run is a number token, but only the whole run ends
+    # at a word boundary: the index holds that one value, so its size and
+    # the time to build it stay linear in the run's length.
+    rivers = LEXICONS[0]
+    prefix = "Colorado River is "
+    text = prefix + digit * 20_000 + " km long."
+    [claim] = extract_claims(text, rivers, EQUIVALENCE_RULES)
+    assert claim.triple.object == Literal(
+        str(int(digit)) * 20_000 + "000", Datatype.DECIMAL
+    )
+    _, numbers = rivers.mentions(text)
+    assert numbers == {len(prefix): [(digit * 20_000, len(prefix) + 20_000)]}
+
+
+def test_a_run_of_non_ascii_digits_is_not_split():
+    # `\d` matches Arabic-Indic digits, but the boundary class does not hold
+    # them, so the regex starts a number inside "١٢" and reads 2 from it.
+    # The index reads a number whole.
+    text = "a\u0661\u0662.tavo"
+    [claim] = oracle_extract_claims(text, PREFIX_LEXICON, EQUIVALENCE_RULES)
+    assert claim.triple.object == Literal("2", Datatype.DECIMAL)
+    assert extract_claims(text, PREFIX_LEXICON, EQUIVALENCE_RULES) == []
+    assert PREFIX_LEXICON.mentions(text)[1] == {}
 
 
 @pytest.mark.parametrize(
@@ -651,6 +727,19 @@ def test_fold_keys_agree_with_re_ignorecase():
         assert matched == by_key[_fold(alias_char)], alias_char
     whitespace = set(re.findall(r"\s", text))
     assert whitespace == by_key[" "]
+
+
+def test_no_non_word_character_folds_into_the_boundary_class():
+    # Every slot of a rule is bounded by a character outside `\w` or by a
+    # whitespace run, so the mention index drops values that end before a
+    # character of the boundary class. That is exact only if no such
+    # character shares a case key with the class: then none is matched by
+    # the class, nor by a rule literal that a class character would match.
+    word = re.compile("[0-9A-Za-z_]", re.IGNORECASE)
+    class_keys = {_fold(ch) for ch in _SWEEP if word.match(ch)}
+    assert [
+        ch for ch in _SWEEP if not re.match(r"\w", ch) and _fold(ch) in class_keys
+    ] == []
 
 
 def test_cached_fold_key_is_the_fold_key_and_stays_bounded():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import importlib
 import json
 
 import pytest
 
 from factgate.constraints import parse_manifest, validate_claim
+from factgate.evaluation import load_dataset, mock_factory
 from factgate.extraction import Claim, build_lexicon, parse_rules
 from factgate.gate import (
     ABSTENTION_TEXT,
@@ -32,6 +35,8 @@ from factgate.kg import (
     Triple,
     parse_ntriples,
 )
+
+from conftest import FIXTURES, REPO_ROOT
 
 TYPE = f"<{RDF_TYPE_IRI}>"
 
@@ -369,3 +374,42 @@ def test_capped_context_keeps_the_full_graph_verdict(monkeypatch, answer, verdic
     monkeypatch.setattr(graph, "_hubs", bytearray(len(graph._hubs)))
     assert capped == decide_json()
     assert json.loads(capped)["verdict"] == verdict.value
+
+
+# The provenance lines of the 200 seed-1 items of two benchmark workloads,
+# each set as one sha256 prefix: a change to any verdict, audit or response
+# text, or to how a decision is written, moves a digest.
+@pytest.mark.parametrize(
+    "qa, behavior, max_hops, digest",
+    [
+        ("ask", MockBehavior(MockMode.ECHO_CONTEXT), 3, "57ce4130b32d3b73"),
+        ("eval", MockBehavior(MockMode.NOISY, 0.6, 0.3, seed=1), 1, "d76085e14ceb5a73"),
+    ],
+    ids=["ask_wide_10k", "eval_narrow_10k"],
+)
+def test_benchmark_decisions_are_unchanged(
+    qa, behavior, max_hops, digest, tmp_path, monkeypatch
+):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    generate = importlib.import_module("scaledrivers").generate
+    generate(1, 10_000, qa, 200).write(tmp_path)
+    rivers = FIXTURES / "rivers"
+    graph = parse_ntriples((tmp_path / "graph.nt").read_text("utf-8"))
+    constraints = parse_manifest((rivers / "constraints.txt").read_text("utf-8"))
+    rules = parse_rules((rivers / "rules.txt").read_text("utf-8"))
+    lexicon = build_lexicon(graph, [Iri("label")])
+    factory = mock_factory(behavior, rules=rules)
+    items = load_dataset(tmp_path / "qa.jsonl")
+    assert len(items) == 200
+    lines = "".join(
+        decision_to_json(
+            item.question,
+            run_pipeline(
+                item.question, graph, constraints, factory(item), lexicon, rules,
+                max_hops=max_hops,
+            ),
+        )
+        + "\n"
+        for item in items
+    )
+    assert hashlib.sha256(lines.encode("utf-8")).hexdigest()[:16] == digest
