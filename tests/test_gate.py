@@ -376,6 +376,24 @@ def test_capped_context_keeps_the_full_graph_verdict(monkeypatch, answer, verdic
     assert json.loads(capped)["verdict"] == verdict.value
 
 
+def _benchmark_inputs(qa, tmp_path, monkeypatch):
+    """The graph, lexicon, rules and 200 items of a benchmark workload's
+    seed-1 inputs (qa "ask" or "eval"), as bench/scaledrivers.py writes them."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    generate = importlib.import_module("scaledrivers").generate
+    generate(1, 10_000, qa, 200).write(tmp_path)
+    graph = parse_ntriples((tmp_path / "graph.nt").read_text("utf-8"))
+    rules = parse_rules((FIXTURES / "rivers" / "rules.txt").read_text("utf-8"))
+    lexicon = build_lexicon(graph, [Iri("label")])
+    items = load_dataset(tmp_path / "qa.jsonl")
+    assert len(items) == 200
+    return graph, lexicon, rules, items
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 # The provenance lines of the 200 seed-1 items of two benchmark workloads,
 # each set as one sha256 prefix: a change to any verdict, audit or response
 # text, or to how a decision is written, moves a digest.
@@ -390,17 +408,10 @@ def test_capped_context_keeps_the_full_graph_verdict(monkeypatch, answer, verdic
 def test_benchmark_decisions_are_unchanged(
     qa, behavior, max_hops, digest, tmp_path, monkeypatch
 ):
-    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
-    generate = importlib.import_module("scaledrivers").generate
-    generate(1, 10_000, qa, 200).write(tmp_path)
-    rivers = FIXTURES / "rivers"
-    graph = parse_ntriples((tmp_path / "graph.nt").read_text("utf-8"))
-    constraints = parse_manifest((rivers / "constraints.txt").read_text("utf-8"))
-    rules = parse_rules((rivers / "rules.txt").read_text("utf-8"))
-    lexicon = build_lexicon(graph, [Iri("label")])
+    graph, lexicon, rules, items = _benchmark_inputs(qa, tmp_path, monkeypatch)
+    manifest = (FIXTURES / "rivers" / "constraints.txt").read_text("utf-8")
+    constraints = parse_manifest(manifest)
     factory = mock_factory(behavior, rules=rules)
-    items = load_dataset(tmp_path / "qa.jsonl")
-    assert len(items) == 200
     lines = "".join(
         decision_to_json(
             item.question,
@@ -412,4 +423,21 @@ def test_benchmark_decisions_are_unchanged(
         + "\n"
         for item in items
     )
-    assert hashlib.sha256(lines.encode("utf-8")).hexdigest()[:16] == digest
+    assert _digest(lines) == digest
+
+
+# The generator contexts of the same 200 items, each ended by a NUL, as one
+# sha256 prefix. The echo mock reads only its context's first line, so the
+# decision digests above cannot see a context reordered or cut after it.
+@pytest.mark.parametrize(
+    "qa, max_hops, digest",
+    [("ask", 3, "f545917a54a9c608"), ("eval", 1, "f9704e03d9916eed")],
+    ids=["ask_wide_10k", "eval_narrow_10k"],
+)
+def test_benchmark_contexts_are_unchanged(qa, max_hops, digest, tmp_path, monkeypatch):
+    graph, lexicon, _, items = _benchmark_inputs(qa, tmp_path, monkeypatch)
+    contexts = "".join(
+        build_context(item.question, graph, lexicon, max_hops) + "\x00"
+        for item in items
+    )
+    assert _digest(contexts) == digest
