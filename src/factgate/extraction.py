@@ -38,11 +38,12 @@ from .kg import (
     take_param,
 )
 
-# A plain decimal number token in free text (no exponent, no trailing dot).
-NUMBER_TOKEN_RE = re.compile(r"[+-]?(?:\d+\.\d+|\d+|\.\d+)")
-# The longest number token at a position not right after a digit; group 1 is
-# its integer part if a fraction, group 2, follows.
-_NUMBER_RE = re.compile(r"(?<!\d)[+-]?(?:(\d+)(\.\d+)?|\.\d+)")
+# A plain decimal number token in free text (no exponent, no trailing dot),
+# of ASCII digits, as kg reads a number.
+NUMBER_TOKEN_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]+|[0-9]+|\.[0-9]+)")
+# The longest number token at a position; group 1 is its integer part if a
+# fraction, group 2, follows.
+_NUMBER_RE = re.compile(r"[+-]?(?:([0-9]+)(\.[0-9]+)?|\.[0-9]+)")
 _SLOT_RE = re.compile(r"\b(SUBJ|OBJ)\b")
 _WORD_BOUNDARY_L = r"(?<![0-9A-Za-z_])"
 _WORD_BOUNDARY_R = r"(?![0-9A-Za-z_])"
@@ -201,12 +202,11 @@ class Lexicon:
         text is keyed through `_fold_key`; a space in an alias consumes a
         whole whitespace run, as `\\s+` does, since no alias character is
         whitespace. Numbers come longest first, as a regex backtracks into
-        NUMBER_TOKEN_RE, and are read whole: none starts right after a digit
-        or ends right before one, so only the longest token and its integer
-        part before a fraction are kept. The boundary ensures this for ASCII
-        digits; a regex reads a run of non-ASCII ones (`\\d` holds them, the
-        boundary class does not) as each of its prefixes. The pass takes
-        time linear in the text's length.
+        NUMBER_TOKEN_RE, and are read whole: the boundary class holds every
+        digit a number is made of, so none starts right after a digit or
+        ends right before one, and only the longest token and its integer
+        part before a fraction are kept. The pass takes time linear in the
+        text's length.
         """
         keys = list(map(_fold_key, text))
         space = " " + _KEY_END
@@ -279,6 +279,15 @@ def build_lexicon(graph: Graph, label_predicates: Sequence[Iri]) -> Lexicon:
     return Lexicon(entries, tuple(conflicts))
 
 
+def _starts(segment: re.Pattern[str], text: str) -> Iterator[int]:
+    """The ascending positions where `segment` matches, overlapping ones
+    included, one `search` each."""
+    at = 0
+    while m := segment.search(text, at):
+        yield m.start()
+        at = m.start() + 1
+
+
 def _matches(
     segments: Sequence[re.Pattern[str]], mentions: Sequence[Mentions], text: str
 ) -> Iterator[tuple[int, int, list[str]]]:
@@ -291,9 +300,10 @@ def _matches(
     mention starts.
 
     A rule that starts with a slot, whose first segment is a bare word
-    boundary, is tried only at that slot's mentions; any other rule at every
-    position. A match holds a match of every segment, so a text in which
-    some segment has no match anywhere yields nothing.
+    boundary, is tried only at that slot's mentions; any other rule only
+    where its first segment matches, each such start found by one `search`
+    from the one before. A match holds a match of every segment, so a text
+    in which some segment has no match anywhere yields nothing.
     """
     if not all(segment.search(text) for segment in segments):
         return
@@ -309,7 +319,7 @@ def _matches(
 
     bare = segments[0].pattern == _WORD_BOUNDARY_L
     pos = 0
-    for start in mentions[0] if bare else range(len(text)):
+    for start in mentions[0] if bare else _starts(segments[0], text):
         if start < pos or not (first := segments[0].match(text, start)):
             continue
         found = rest(0, first.end())

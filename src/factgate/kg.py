@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field, fields
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from enum import Enum
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Sequence
@@ -32,9 +32,10 @@ XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 # Retrieval never expands a non-seed node of more incident triples.
 HUB_DEGREE = 64
 
-# xsd:decimal / xsd:integer lexical forms (no exponent, no NaN/Inf).
-_DECIMAL_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)\Z")
-_INTEGER_RE = re.compile(r"[+-]?\d+\Z")
+# xsd:decimal / xsd:integer lexical forms (no exponent, no NaN/Inf). Their
+# digits are ASCII: `\d` would also take other scripts' decimal digits.
+_DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)\Z")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 _WHITESPACE_RE = re.compile(r"[ \t\r\n]")
 
@@ -363,24 +364,32 @@ def serialize_ntriples(sub: Subgraph) -> str:
     """N-Triples of a retrieve_subgraph result, one triple per line, in the
     graph's sorted order.
 
-    Lines come from the graph's line cache, indexed by rank. It is made on
-    the first call and filled lazily: each line is rendered once, the first
-    time any call needs it, and reused after that. A graph that is never
-    serialized holds no cache; a filled one holds one string per triple,
-    about 100 bytes each. Concurrent calls may render the same line twice,
-    writing the same string to the same slot.
+    The text comes from the graph's text cache, one slot per piece key (see
+    Subgraph): a subject run's slot holds the lines of the whole run, a
+    single triple's slot its one line. The cache is made on the first call
+    and filled lazily: a piece is rendered the first time any call needs it
+    and reused after that, so a context whose pieces are all warm is one
+    join of cached strings. A graph that is never serialized holds no cache.
+    Concurrent calls may render the same piece twice, writing the same
+    string to the same slot.
     """
     graph = sub.graph
-    cache = graph._lines
+    cache = graph._texts
     if cache is None:
-        cache = graph._lines = [None] * len(graph._triples)
-    lines = []
-    for rank in sub.ranks:
-        line = cache[rank]
-        if line is None:
-            line = cache[rank] = triple_to_ntriples(graph._triples[rank])
-        lines.append(line)
-    return "\n".join(lines) + ("\n" if lines else "")
+        cache = graph._texts = [None] * (2 * len(graph._triples))
+    keys = sub.pieces
+    if not all(map(cache.__getitem__, keys)):
+        triples, runs, subjects = graph._triples, graph._runs, graph._subjects
+        for key in keys:
+            if cache[key] is None:
+                lo = key >> 1
+                if key & 1:
+                    text = triple_to_ntriples(triples[lo])
+                else:
+                    hi = runs[subjects[lo]][1]
+                    text = "\n".join(map(triple_to_ntriples, triples[lo:hi]))
+                cache[key] = text + "\n"
+    return "".join(map(cache.__getitem__, keys))
 
 
 # --- the store ----------------------------------------------------------
@@ -399,24 +408,26 @@ class Graph:
     -> predicate -> (lo, hi), the rank run of the sorted order holding that
     pair's triples, and predicate -> triples. Every IRI node (a subject or
     an IRI object) gets a dense integer id at build, through one string ->
-    id table. Indexed by node id, the adjacency holds the ascending ranks
-    of the triples whose subject or object the node is, which serve the
-    (p, o) lookup and retrieval; indexed by rank, two int lists hold each
-    triple's subject and object node ids (-1 for a literal), the very int
-    objects of the id table. A lookup thus hashes strings, and retrieval
-    only ints. All query results come out sorted, and every lookup is
-    equivalent to a linear scan. The hubs, flagged by node id at build,
-    are the classes (`rdf:type` objects) and the nodes of more than
-    HUB_DEGREE triples. Three caches are filled lazily, so no line is
-    rendered, no set gathered and no number compared at build: the
-    rendered lines (see serialize_ntriples), the subject sets of
-    subjects_of, which back holds, and the per-subject least and greatest
-    numbers of least and greatest.
+    id table. Indexed by node id, the store keeps the node's subject run,
+    the (lo, hi) ranks of the triples whose subject it is (empty for a node
+    that is no subject), and its incoming ranks, the ascending ranks of the
+    triples whose object it is, a self-loop included; these serve the
+    (p, o) lookup, and both serve retrieval. Indexed by rank, two int lists
+    hold each triple's subject and object node ids (-1 for a literal), the
+    very int objects of the id table. A lookup thus hashes strings, and
+    retrieval only ints. All query results come out sorted, and every
+    lookup is equivalent to a linear scan. The hubs, flagged by node id at
+    build, are the classes (`rdf:type` objects) and the nodes of more than
+    HUB_DEGREE incident triples, a self-loop counted once. Three caches are
+    filled lazily, so no line is rendered, no set gathered and no number
+    compared at build: the rendered text (see serialize_ntriples), the
+    subject sets of subjects_of, which back holds, and the per-subject
+    least and greatest numbers of least and greatest.
     """
 
     __slots__ = (
-        "_triples", "_spo", "_pos", "_ids", "_adj", "_subjects", "_objects",
-        "_hubs", "_lines", "_subject_sets", "_extremes",
+        "_triples", "_spo", "_pos", "_ids", "_runs", "_in", "_subjects",
+        "_objects", "_hubs", "_texts", "_subject_sets", "_extremes",
     )
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -459,54 +470,72 @@ class Graph:
             spo: dict[str, dict[str, tuple[int, int]]] = {}
             pos: dict[str, list[Triple]] = {}
             ids: dict[str, int] = {}
-            adj: list[list[int]] = []
+            subject_runs: list[tuple[int, int]] = []
+            incoming: list[list[int]] = []
             subjects: list[int] = []
             object_ids: list[int] = []
+            loops: list[int] = []  # the subject id of each self-loop
             runs: dict[str | None, tuple[int, int]] = {}  # scratch until a subject opens
             run_s = run_p = None
-            lo = 0
+            lo = start = sid = 0
             for rank, t in enumerate(triples):
                 s, p, o = t.subject.value, t.predicate.value, t.object
                 # A subject's triples are adjacent, and so are its predicate's:
-                # each (subject, predicate) run is closed when the next opens.
+                # each subject run and (subject, predicate) run is closed when
+                # the next opens.
                 if s != run_s:
                     runs[run_p] = (lo, rank)
+                    if rank:
+                        subject_runs[sid] = (start, rank)
                     runs = spo[s] = {}
-                    sid = ids.setdefault(s, len(adj))
-                    if sid == len(adj):
-                        adj.append([])
+                    sid = ids.setdefault(s, len(incoming))
+                    if sid == len(incoming):
+                        incoming.append([])
+                        subject_runs.append((0, 0))
                     run_s, run_p, lo = s, p, rank
+                    start = rank
                 elif p != run_p:
                     runs[run_p] = (lo, rank)
                     run_p, lo = p, rank
                 pos.setdefault(p, []).append(t)
-                adj[sid].append(rank)
                 subjects.append(sid)
                 if isinstance(o, Iri):
-                    oid = ids.setdefault(o.value, len(adj))
-                    if oid == len(adj):
-                        adj.append([])
-                    if oid != sid:
-                        adj[oid].append(rank)
+                    oid = ids.setdefault(o.value, len(incoming))
+                    if oid == len(incoming):
+                        incoming.append([])
+                        subject_runs.append((0, 0))
+                    incoming[oid].append(rank)
+                    if oid == sid:
+                        loops.append(sid)
                     object_ids.append(oid)
                 else:
                     object_ids.append(-1)
             runs[run_p] = (lo, len(triples))
+            if triples:
+                subject_runs[sid] = (start, len(triples))
             self._spo = spo
             self._pos = pos
             self._ids = ids
-            self._adj = adj
+            self._runs = subject_runs
+            self._in = incoming
             self._subjects = subjects
             self._objects = object_ids
-            hubs = bytearray(len(adj))
+            hubs = bytearray(len(incoming))
             for t in pos.get(RDF_TYPE_IRI, ()):
                 if isinstance(t.object, Iri):
                     hubs[ids[t.object.value]] = 1
-            for node, ranks in enumerate(adj):
-                if len(ranks) > HUB_DEGREE:
+            # A node's incident triples are its run and its incoming ranks; a
+            # self-loop is in both and counts once.
+            degrees = [
+                hi - lo + len(ranks) for (lo, hi), ranks in zip(subject_runs, incoming)
+            ]
+            for node in loops:
+                degrees[node] -= 1
+            for node, degree in enumerate(degrees):
+                if degree > HUB_DEGREE:
                     hubs[node] = 1
             self._hubs = hubs
-            self._lines: list[str | None] | None = None
+            self._texts: list[str | None] | None = None
             self._subject_sets: dict[tuple[str, str], set[str]] = {}
             self._extremes: dict[str, tuple[dict[str, Decimal], ...]] = {}
         finally:
@@ -527,17 +556,18 @@ class Graph:
     ) -> list[Triple]:
         """The triples of predicate `p` with subject `s` and object `o`, as
         far as those are bound, in sorted order, as a new list. A bound
-        subject reads its (s, p) rank run, else an IRI object its adjacency,
-        else `p`'s list. IRIs match byte-equal, an object per term_matches.
+        subject reads its (s, p) rank run, else an IRI object its incoming
+        ranks, else `p`'s list. IRIs match byte-equal, an object per
+        term_matches.
         """
         if s is not None:
             lo, hi = self._spo.get(s.value, _NO_RUNS).get(p.value, (0, 0))
             found = self._triples[lo:hi]  # the slice is a new list
         elif isinstance(o, Iri):
             node = self._ids.get(o.value)
-            ranks = () if node is None else self._adj[node]
+            ranks = () if node is None else self._in[node]
             hits = map(self._triples.__getitem__, ranks)
-            return [t for t in hits if t.predicate.value == p.value and t.object == o]
+            return [t for t in hits if t.predicate.value == p.value]
         else:
             found = list(self._pos.get(p.value, ()))
         if o is None:
@@ -612,15 +642,31 @@ class Graph:
 
 @dataclass(frozen=True, slots=True)
 class Subgraph:
-    """A read-only view of some of a graph's triples: the graph and the
-    ascending ranks of the triples in view. It iterates its triples in the
-    graph's sorted order and serializes through the graph's line cache."""
+    """A read-only view of some of a graph's triples, held as pieces of the
+    graph's sorted order: whole subject runs and single triples. A piece's
+    key is twice its first rank, plus one for a single triple, so keys sort
+    as their pieces do, and a run's key is not that of its first triple
+    alone. `pieces` holds the keys, ascending, of pieces that never
+    overlap, and `size` the number of triples they hold. The view iterates
+    its triples in the graph's sorted order and serializes through the
+    graph's text cache."""
 
     graph: Graph
-    ranks: tuple[int, ...]
+    pieces: tuple[int, ...]
+    size: int
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """The ascending ranks of the triples in view."""
+        runs, subjects = self.graph._runs, self.graph._subjects
+        ranks: list[int] = []
+        for key in self.pieces:
+            lo = key >> 1
+            ranks.extend(range(lo, lo + 1 if key & 1 else runs[subjects[lo]][1]))
+        return tuple(ranks)
 
     def __len__(self) -> int:
-        return len(self.ranks)
+        return self.size
 
     def __iter__(self) -> Iterator[Triple]:
         return map(self.graph._triples.__getitem__, self.ranks)
@@ -634,33 +680,48 @@ def retrieve_subgraph(graph: Graph, seeds: Iterable[Iri], max_hops: int) -> Subg
     objects and reached hubs (see Graph) are never expanded, though the
     edge that reached a hub is collected: a context is bounded by the
     degree limit, not by the graph's size. The seeds are looked up once by
-    IRI string; the walk then runs over node ids and triple ranks only, so
-    its cost grows with the triples it collects. The last hop only collects
-    its frontier's ranks: no frontier follows it, so it reads no triple's
-    endpoints. Returns a Subgraph of the collected ranks, sorted, ready for
-    serialize_ntriples.
+    IRI string; the walk then runs over node ids only. A hop reaches the
+    objects of each expanded node's subject run and the subjects of its
+    incoming triples; the last hop reaches nothing, since no frontier
+    follows it. The triples collected are those incident to an expanded
+    node: the whole subject run of each one, plus each incoming triple
+    whose subject is not expanded. Returns a Subgraph of those pieces,
+    sorted, ready for serialize_ntriples; its cost grows with the nodes
+    expanded and their incoming triples, not with the triples in its runs.
     """
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
-    ids, adj, hubs = graph._ids, graph._adj, graph._hubs
+    ids, runs, incoming, hubs = graph._ids, graph._runs, graph._in, graph._hubs
     subjects, objects = graph._subjects, graph._objects
     frontier = {ids[s.value] for s in seeds if s.value in ids}
-    visited = set(frontier)
-    collected: set[int] = set()
+    expanded = set(frontier)
     for _ in range(max_hops - 1):
         if not frontier:
             break
-        ranks = set(chain.from_iterable(map(adj.__getitem__, frontier)))
-        ranks -= collected
-        collected |= ranks
-        reached = set(map(subjects.__getitem__, ranks))
-        reached.update(map(objects.__getitem__, ranks))
-        reached -= visited
+        reached: set[int] = set()
+        for node in frontier:
+            lo, hi = runs[node]
+            reached.update(objects[lo:hi])
+            reached.update(map(subjects.__getitem__, incoming[node]))
+        reached -= expanded
         reached.discard(-1)
         frontier = set(filterfalse(hubs.__getitem__, reached))
-        visited |= frontier
-    collected.update(chain.from_iterable(map(adj.__getitem__, frontier)))
-    return Subgraph(graph, tuple(sorted(collected)))
+        expanded |= frontier
+    keys = []
+    size = 0
+    for lo, hi in map(runs.__getitem__, expanded):
+        if hi > lo:
+            keys.append(2 * lo)
+            size += hi - lo
+    singles = [
+        2 * rank + 1
+        for node in expanded
+        for rank in incoming[node]
+        if subjects[rank] not in expanded
+    ]
+    keys += singles
+    keys.sort()
+    return Subgraph(graph, tuple(keys), size + len(singles))
 
 
 def parse_decimal(text: str) -> Decimal:

@@ -615,13 +615,10 @@ def _alias_pattern(alias):
 
 
 def oracle_mentions(text, lexicon):
-    """`Lexicon.mentions` read off the regexes, one position at a time. A
-    number never starts right after a digit: at a word boundary, only a
-    non-ASCII digit can be there."""
+    """`Lexicon.mentions` read off the regexes, one position at a time."""
     ordered = sorted(lexicon.alias_to_iri, key=lambda a: (-len(a), a))
     boundary_l = re.compile(_L, re.IGNORECASE)
     boundary_r = re.compile(_R, re.IGNORECASE)
-    after_digit = re.compile(r"(?<=\d)")
     aliases, numbers = {}, {}
     for start in range(len(text)):
         if not boundary_l.match(text, start):
@@ -629,8 +626,6 @@ def oracle_mentions(text, lexicon):
         found = [(a, m.end()) for a in ordered if (m := _alias_pattern(a).match(text, start))]
         if found:
             aliases[start] = found
-        if after_digit.match(text, start):
-            continue
         found = [
             (text[start:end], end)
             for end in range(len(text), start, -1)
@@ -653,29 +648,37 @@ def test_mention_index_agrees_with_the_regex(lexicon_and_text):
 
 @pytest.mark.parametrize("digit", ["1", "\u0663"])  # an ASCII and an Arabic-Indic 3
 def test_a_long_digit_run_is_one_number_value(digit):
-    # Every prefix of the run is a number token, but only the whole run ends
-    # at a word boundary: the index holds that one value, so its size and
-    # the time to build it stay linear in the run's length.
+    # Every prefix of an ASCII run is a number token, but only the whole run
+    # ends at a word boundary: the index holds that one value, so its size
+    # and the time to build it stay linear in the run's length. A number is
+    # ASCII digits, so an Arabic-Indic run is none, and every one of its
+    # characters, a word start, is read in constant time.
     rivers = LEXICONS[0]
     prefix = "Colorado River is "
     text = prefix + digit * 20_000 + " km long."
-    [claim] = extract_claims(text, rivers, EQUIVALENCE_RULES)
-    assert claim.triple.object == Literal(
-        str(int(digit)) * 20_000 + "000", Datatype.DECIMAL
-    )
+    claims = extract_claims(text, rivers, EQUIVALENCE_RULES)
     _, numbers = rivers.mentions(text)
+    if not digit.isascii():
+        assert claims == [] and numbers == {}
+        return
+    [claim] = claims
+    assert claim.triple.object == Literal(digit * 20_000 + "000", Datatype.DECIMAL)
     assert numbers == {len(prefix): [(digit * 20_000, len(prefix) + 20_000)]}
 
 
 def test_a_run_of_non_ascii_digits_is_not_split():
-    # `\d` matches Arabic-Indic digits, but the boundary class does not hold
-    # them, so the regex starts a number inside "١٢" and reads 2 from it.
-    # The index reads a number whole.
+    # "١٢" is no number, and no part of it is: neither the regex nor the
+    # index reads one from it. Like any character outside the boundary
+    # class, a non-ASCII digit leaves a word start after it, where both read
+    # the ASCII number that follows.
     text = "a\u0661\u0662.tavo"
-    [claim] = oracle_extract_claims(text, PREFIX_LEXICON, EQUIVALENCE_RULES)
-    assert claim.triple.object == Literal("2", Datatype.DECIMAL)
+    assert oracle_extract_claims(text, PREFIX_LEXICON, EQUIVALENCE_RULES) == []
     assert extract_claims(text, PREFIX_LEXICON, EQUIVALENCE_RULES) == []
     assert PREFIX_LEXICON.mentions(text)[1] == {}
+    text = "a\u06612.tavo"
+    [claim] = extract_claims(text, PREFIX_LEXICON, EQUIVALENCE_RULES)
+    assert claim.triple.object == Literal("2", Datatype.DECIMAL)
+    assert [claim] == oracle_extract_claims(text, PREFIX_LEXICON, EQUIVALENCE_RULES)
 
 
 @pytest.mark.parametrize(
@@ -782,6 +785,18 @@ def test_regex_backtracking_corner_cases(text, expected):
          or c.triple.object.lexical)
         for c in claims
     ] == expected
+
+
+def test_a_literal_first_rule_is_tried_inside_its_own_literal():
+    # "a a" matches at 0 and at 2 of "a a a tavo": the match at 0 has no
+    # alias after it, the one that starts inside it does.
+    rules = parse_rules(
+        'X_aa "a a SUBJ is OBJ km" predicate=<length> kind=numeric scale=1\n'
+    )
+    text = "a a a tavo is 5 km"
+    [claim] = extract_claims(text, PREFIX_LEXICON, rules)
+    assert claim.source_span == (2, len(text))
+    assert [claim] == oracle_extract_claims(text, PREFIX_LEXICON, rules)
 
 
 def test_entity_is_the_alias_that_matched():

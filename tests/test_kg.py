@@ -19,6 +19,8 @@ from factgate.kg import (
     _parse_object,
     HUB_DEGREE,
     RDF_TYPE,
+    XSD_DECIMAL,
+    XSD_INTEGER,
     Datatype,
     Graph,
     Iri,
@@ -229,6 +231,21 @@ def test_parse_rejects_nonfinite_numeric_literal():
     # "NaN" does not fit the plain-decimal lexical space, so it stays a string.
     g = parse_ntriples('<a> <p> "NaN" .')
     assert next(iter(g)).object.datatype is Datatype.STRING
+
+
+def test_a_number_is_ascii_digits():
+    # "١٢" (Arabic-Indic 1, 2) is outside xsd:decimal's lexical space: the
+    # literal is a string, and entails no number.
+    g = parse_ntriples('<a> <p> "\u0661\u0662" .')
+    obj = next(iter(g)).object
+    assert obj == Literal("\u0661\u0662", Datatype.STRING)
+    assert not g.contains(Triple(Iri("a"), Iri("p"), lit("12")))
+    assert g.contains(Triple(Iri("a"), Iri("p"), obj))
+    for dt in (XSD_DECIMAL, XSD_INTEGER):
+        with pytest.raises(ParseError):
+            parse_ntriples(f'<a> <p> "\u0661\u0662"^^<{dt}> .')
+    with pytest.raises(ValueError):
+        Literal("\u0661\u0662", Datatype.DECIMAL)
 
 
 _XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -901,6 +918,60 @@ def test_reached_hub_keeps_its_edge_and_is_not_expanded():
     # At exactly HUB_DEGREE incident triples a node is not a hub.
     g = Graph([a_h, *star[: HUB_DEGREE - 1]])
     assert set(retrieve_subgraph(g, {a}, 2)) == set(g)
+
+
+def test_a_self_loop_counts_once_toward_the_hub_degree():
+    a, h = Iri("a"), Iri("H")
+    a_h, loop = Triple(a, Iri("p"), h), Triple(h, Iri("q"), h)
+    star = [Triple(h, Iri("p"), leaf) for leaf in _LEAVES]
+    # H's incident triples: a_h, its self-loop and the star's.
+    g = Graph([a_h, loop, *star[: HUB_DEGREE - 2]])
+    assert scan_hubs(g) == set()
+    assert set(retrieve_subgraph(g, {a}, 2)) == set(g)
+    g = Graph([a_h, loop, *star[: HUB_DEGREE - 1]])
+    assert scan_hubs(g) == {"H"}
+    assert set(retrieve_subgraph(g, {a}, 2)) == {a_h}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_seeds())
+def test_object_bound_match_agrees_with_scan(graph_and_seeds):
+    g, _ = graph_and_seeds
+    for o in [*_NODES, *_SINKS, Iri("absent")]:
+        for p in [Iri("p0"), Iri("p1"), Iri("absent")]:
+            assert g.match(p=p, o=o) == scan_match(g, p=p, o=o)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hub_graph_and_seeds(), st.integers(1, 4))
+def test_a_subgraph_counts_and_ranks_its_triples(graph_and_seeds, max_hops):
+    g, seeds = graph_and_seeds
+    sub = retrieve_subgraph(g, seeds, max_hops)
+    ranks = sub.ranks
+    assert list(ranks) == sorted(set(ranks))
+    assert len(sub) == len(ranks) == len(tuple(sub))
+    assert tuple(sub) == tuple(tuple(g)[r] for r in ranks)
+
+
+def test_a_warm_context_renders_no_triple(rivers_fixture_paths, monkeypatch):
+    from factgate import kg
+    from factgate.gate import build_context
+
+    graph = parse_ntriples(rivers_fixture_paths["graph"].read_text("utf-8"))
+    lexicon = build_lexicon(graph, [Iri("label")])
+    rendered = []
+    render = kg.triple_to_ntriples
+    monkeypatch.setattr(
+        kg, "triple_to_ntriples", lambda t: rendered.append(t) or render(t)
+    )
+    # At two hops the context holds whole subject runs and single triples.
+    question = "How long is the Colorado River?"
+    context = build_context(question, graph, lexicon, 2)
+    # Cold, each line of the context is rendered once.
+    assert sorted(map(render, rendered)) == sorted(context.splitlines())
+    cold = len(rendered)
+    assert build_context(question, graph, lexicon, 2) == context
+    assert len(rendered) == cold
 
 
 def _copy_term(term):
