@@ -73,14 +73,13 @@ def _violation_order(v: Violation) -> tuple:
 
 class _GraphPlusClaim:
     """Read-only view of a graph plus one triple it does not hold. It answers
-    the queries the checks make of a graph: `match`, `subjects_of`, `holds`,
-    `least` and `greatest`. `subjects_of` returns the graph's own set, or,
-    for the claim's (predicate, object) pair, a copy with the claim's subject
-    added, so the graph's kept sets never change; `holds` tests the same
-    membership without the copy. `least` and `greatest` return the graph's
-    own map, or, for a numeric claim of that predicate, the map under a
-    one-entry layer holding the claim subject's value with the claim's
-    number counted in; the graph's kept maps never change either."""
+    the queries the checks make of a graph: `match`, `subjects_of`, `least`
+    and `greatest`. `subjects_of` returns the graph's own set, or, for the
+    claim's (predicate, object) pair, a copy with the claim's subject added,
+    so the graph's kept sets never change. `least` and `greatest` return the
+    graph's own map, or, for a numeric claim of that predicate, the map
+    under a one-entry layer holding the claim subject's value with the
+    claim's number counted in; the graph's kept maps never change either."""
 
     __slots__ = ("graph", "claim")
 
@@ -108,9 +107,6 @@ class _GraphPlusClaim:
         if self._claim_matches(None, p, o):
             return found | {self.claim.subject.value}
         return found
-
-    def holds(self, s: Iri, p: Iri, o: Iri) -> bool:
-        return self.graph.holds(s, p, o) or self._claim_matches(s, p, o)
 
     def least(self, p: Iri) -> Mapping[str, Decimal]:
         return self._with_claim(self.graph.least(p), p, operator.lt)
@@ -149,13 +145,13 @@ _View = Graph | _GraphPlusClaim
 # typing, requirements, intervals) takes every triple of the predicate, and
 # its check reads triples of the unit's subject and, of its object, those of
 # the predicates in `object_reads`. The graph is read only through `match`,
-# `subjects_of` (and `holds`, a test in the same set), `least` and
-# `greatest`, which a Graph answers from its own indexes, kept sets and kept
-# maps, and every violation carries its unit as its triple and the unit's
-# subject as its focus. So a claim (x, p, o) can touch only the units whose
-# subject is x, if x has the unit class, and, for a check that reads p of
-# objects, those whose object is x; the claim itself is one of the former
-# once asserted. Those are the units `check_around` re-checks.
+# `subjects_of`, `least` and `greatest`, which a Graph answers from its own
+# indexes, kept sets and kept maps, and every violation carries its unit as
+# its triple and the unit's subject as its focus. So a claim (x, p, o) can
+# touch only the units whose subject is x, if x has the unit class, and, for
+# a check that reads p of objects, those whose object is x; the claim itself
+# is one of the former once asserted. Those are the units `check_around`
+# re-checks.
 
 
 class _Check:
@@ -179,7 +175,7 @@ class _Check:
             if claim.predicate in self.object_reads:
                 incoming = graph.match(p=p, o=node)
                 units += [t for t in incoming if t.subject != node]
-        elif graph.holds(node, RDF_TYPE, cls):
+        elif node.value in graph.subjects_of(RDF_TYPE, cls):
             units = graph.match(s=node, p=p)
         else:
             return []

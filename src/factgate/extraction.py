@@ -119,13 +119,14 @@ def _normalize_alias(text: str) -> str:
 
 
 def local_name(iri: Iri) -> str:
-    """Trailing segment of an IRI, after the last '#' or '/'."""
+    """The spoken name of an IRI: its trailing segment, after the last '#'
+    or '/', with underscores as spaces."""
     value = iri.value
     for sep in ("#", "/"):
         if sep in value:
             value = value.rsplit(sep, 1)[1]
             break
-    return value
+    return value.replace("_", " ")
 
 
 def _fold(ch: str) -> str:
@@ -275,7 +276,7 @@ def build_lexicon(graph: Graph, label_predicates: Sequence[Iri]) -> Lexicon:
                 seen.add(t.subject)
                 labeled.append(t.subject)
     for iri in labeled:
-        put(_normalize_alias(local_name(iri).replace("_", " ")), iri)
+        put(_normalize_alias(local_name(iri)), iri)
     return Lexicon(entries, tuple(conflicts))
 
 
@@ -442,13 +443,13 @@ def verbalize_triple(triple: Triple, rule: PredicateRule) -> str:
     underscores as spaces; numeric slots divide out the unit scale, exactly
     whenever the quotient ends.
     """
-    subj_text = local_name(triple.subject).replace("_", " ")
+    subj_text = local_name(triple.subject)
     if rule.object_kind == "numeric":
         assert isinstance(triple.object, Literal) and triple.object.numeric is not None
         obj_text = decimal_lexical(_unscale(triple.object.numeric, rule.unit_scale))
     else:
         assert isinstance(triple.object, Iri)
-        obj_text = local_name(triple.object).replace("_", " ")
+        obj_text = local_name(triple.object)
     # Only the slot words _segments reads are filled, in one pass: a name
     # that holds OBJ, or a pattern word such as OBJECT, stays as written.
     text = {"SUBJ": subj_text, "OBJ": obj_text}

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import gc
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from enum import Enum
 from itertools import filterfalse
+from operator import attrgetter
 from pathlib import Path
-from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Sequence
 
 RDF_TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -39,9 +40,9 @@ _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 _WHITESPACE_RE = re.compile(r"[ \t\r\n]")
 
-# The (s, p) runs of a subject the graph lacks: one shared read-only mapping,
-# so a lookup of such a subject allocates nothing.
-_NO_RUNS = MappingProxyType({})
+# The key a bound subject's run is bisected on: within the run, triples
+# are sorted by their predicate string.
+_PREDICATE = attrgetter("predicate.value")
 
 
 class ParseError(Exception):
@@ -402,32 +403,31 @@ class Graph:
     position in that order). The order is that of the (subject, predicate,
     object text) string keys, the object text being term_to_ntriples of the
     object. One build serves `Graph(triples)` and parse_ntriples alike: it
-    deduplicates and sorts those keys as strings and makes each Triple
-    after that, from tables mapping the strings to terms. Two indexes,
-    keyed by IRI strings, back match's (s, p) and (p) lookups: subject
-    -> predicate -> (lo, hi), the rank run of the sorted order holding that
-    pair's triples, and predicate -> triples. Every IRI node (a subject or
-    an IRI object) gets a dense integer id at build, through one string ->
-    id table. Indexed by node id, the store keeps the node's subject run,
-    the (lo, hi) ranks of the triples whose subject it is (empty for a node
-    that is no subject), and its incoming ranks, the ascending ranks of the
-    triples whose object it is, a self-loop included; these serve the
-    (p, o) lookup, and both serve retrieval. Indexed by rank, two int lists
-    hold each triple's subject and object node ids (-1 for a literal), the
-    very int objects of the id table. A lookup thus hashes strings, and
-    retrieval only ints. All query results come out sorted, and every
-    lookup is equivalent to a linear scan. The hubs, flagged by node id at
-    build, are the classes (`rdf:type` objects) and the nodes of more than
-    HUB_DEGREE incident triples, a self-loop counted once. Three caches are
-    filled lazily, so no line is rendered, no set gathered and no number
-    compared at build: the rendered text (see serialize_ntriples), the
-    subject sets of subjects_of, which back holds, and the per-subject
-    least and greatest numbers of least and greatest.
+    deduplicates and sorts those keys as strings and makes each Triple after
+    that, from tables mapping the strings to terms. One index keyed by IRI
+    strings, predicate -> triples, backs match's (p) lookup. Every IRI node
+    (a subject or an IRI object) gets a dense integer id at build, through
+    one string -> id table. Indexed by node id, the store keeps the node's
+    subject run, the (lo, hi) ranks of the triples whose subject it is
+    (empty for a node that is no subject), and its incoming ranks, the
+    ascending ranks of the triples whose object it is, a self-loop included.
+    A bound subject bisects the predicate inside its subject run, a bound
+    IRI object reads its incoming ranks, and both serve retrieval. Indexed
+    by rank, two int lists hold each triple's subject and object node ids
+    (-1 for a literal), the very int objects of the id table. A lookup thus
+    hashes strings, and retrieval only ints. All query results come out
+    sorted, and every lookup is equivalent to a linear scan. The hubs,
+    flagged by node id at build, are the classes (`rdf:type` objects) and
+    the nodes of more than HUB_DEGREE incident triples, a self-loop counted
+    once. Three caches are filled lazily, so no line is rendered, no set
+    gathered and no number compared at build: the rendered text (see
+    serialize_ntriples), the subject sets of subjects_of, and the
+    per-subject least and greatest numbers of least and greatest.
     """
 
     __slots__ = (
-        "_triples", "_spo", "_pos", "_ids", "_runs", "_in", "_subjects",
-        "_objects", "_hubs", "_texts", "_subject_sets", "_extremes",
+        "_triples", "_pos", "_ids", "_runs", "_in", "_subjects", "_objects",
+        "_hubs", "_texts", "_subject_sets", "_extremes",
     )
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -467,7 +467,6 @@ class Graph:
             # Drop the keys before the indexes grow: the two never coexist,
             # which keeps the build's peak memory down.
             del keys
-            spo: dict[str, dict[str, tuple[int, int]]] = {}
             pos: dict[str, list[Triple]] = {}
             ids: dict[str, int] = {}
             subject_runs: list[tuple[int, int]] = []
@@ -475,29 +474,21 @@ class Graph:
             subjects: list[int] = []
             object_ids: list[int] = []
             loops: list[int] = []  # the subject id of each self-loop
-            runs: dict[str | None, tuple[int, int]] = {}  # scratch until a subject opens
-            run_s = run_p = None
-            lo = start = sid = 0
+            run_s = None
+            start = sid = 0
             for rank, t in enumerate(triples):
-                s, p, o = t.subject.value, t.predicate.value, t.object
-                # A subject's triples are adjacent, and so are its predicate's:
-                # each subject run and (subject, predicate) run is closed when
-                # the next opens.
+                s, o = t.subject.value, t.object
+                # A subject's triples are adjacent: each subject run is closed
+                # when the next opens.
                 if s != run_s:
-                    runs[run_p] = (lo, rank)
                     if rank:
                         subject_runs[sid] = (start, rank)
-                    runs = spo[s] = {}
                     sid = ids.setdefault(s, len(incoming))
                     if sid == len(incoming):
                         incoming.append([])
                         subject_runs.append((0, 0))
-                    run_s, run_p, lo = s, p, rank
-                    start = rank
-                elif p != run_p:
-                    runs[run_p] = (lo, rank)
-                    run_p, lo = p, rank
-                pos.setdefault(p, []).append(t)
+                    run_s, start = s, rank
+                pos.setdefault(t.predicate.value, []).append(t)
                 subjects.append(sid)
                 if isinstance(o, Iri):
                     oid = ids.setdefault(o.value, len(incoming))
@@ -510,10 +501,8 @@ class Graph:
                     object_ids.append(oid)
                 else:
                     object_ids.append(-1)
-            runs[run_p] = (lo, len(triples))
             if triples:
                 subject_runs[sid] = (start, len(triples))
-            self._spo = spo
             self._pos = pos
             self._ids = ids
             self._runs = subject_runs
@@ -556,13 +545,18 @@ class Graph:
     ) -> list[Triple]:
         """The triples of predicate `p` with subject `s` and object `o`, as
         far as those are bound, in sorted order, as a new list. A bound
-        subject reads its (s, p) rank run, else an IRI object its incoming
-        ranks, else `p`'s list. IRIs match byte-equal, an object per
-        term_matches.
+        subject bisects `p` inside its subject run (triples of one subject
+        are sorted by predicate, so `p`'s are one slice of it), else an IRI
+        object reads its incoming ranks, else `p`'s list. IRIs match
+        byte-equal, an object per term_matches.
         """
         if s is not None:
-            lo, hi = self._spo.get(s.value, _NO_RUNS).get(p.value, (0, 0))
-            found = self._triples[lo:hi]  # the slice is a new list
+            node = self._ids.get(s.value)
+            lo, hi = (0, 0) if node is None else self._runs[node]
+            triples, key = self._triples, p.value
+            lo = bisect_left(triples, key, lo, hi, key=_PREDICATE)
+            hi = bisect_right(triples, key, lo, hi, key=_PREDICATE)
+            found = triples[lo:hi]  # the slice is a new list
         elif isinstance(o, Iri):
             node = self._ids.get(o.value)
             ranks = () if node is None else self._in[node]
@@ -576,11 +570,12 @@ class Graph:
 
     def subjects_of(self, p: Iri, o: Iri) -> set[str]:
         """The IRI strings of the subjects of the (s, p, o) triples, the
-        object being the IRI `o`: say, the instances of a class. Each pair's
-        set is gathered from the predicate's triples on its first ask and
-        kept for the graph's life, so it suits the few pairs a constraint
-        set names; two first asks at once may each gather it, and store
-        equal sets. Callers must not change the set."""
+        object being the IRI `o`: say, the instances of a class, so that
+        `s.value in subjects_of(p, o)` is `contains` for such a triple. Each
+        pair's set is gathered from the predicate's triples on its first ask
+        and kept for the graph's life, so it suits the few pairs a
+        constraint set names; two first asks at once may each gather it, and
+        store equal sets. Callers must not change the set."""
         key = p.value, o.value
         found = self._subject_sets.get(key)
         if found is None:
@@ -625,10 +620,6 @@ class Graph:
                     greatest[s] = value
         found = self._extremes[p.value] = (least, greatest)
         return found
-
-    def holds(self, s: Iri, p: Iri, o: Iri) -> bool:
-        """`contains` for the triple of an IRI object."""
-        return s.value in self.subjects_of(p, o)
 
     def find_supporting(self, triple: Triple) -> Triple | None:
         """The first stored triple entailing `triple`, or None."""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shlex
@@ -719,6 +720,33 @@ def test_eval_jobs_flag_gives_identical_output(tmp_path, capsys):
         assert main(args + ["--jobs", jobs, "--output", str(log)]) == 0
         assert capsys.readouterr().out == serial
         assert log.read_bytes() == serial_log.read_bytes()
+
+
+# Both fixtures, under each condition and five noisy-mock seeds: each run's
+# table, exit code and result log, concatenated in that loop order, as one
+# sha256 prefix. A change to any answer, verdict, metric or log line moves it.
+def test_fixture_eval_runs_are_unchanged(tmp_path, capsys):
+    log = tmp_path / "log.jsonl"
+    runs = []
+    for fixture in (RIVERS, PHILOSOPHERS):
+        files = [
+            "--graph", str(fixture / "graph.nt"),
+            "--constraints", str(fixture / "constraints.txt"),
+            "--rules", str(fixture / "rules.txt"),
+            "--dataset", str(fixture / "qa.jsonl"),
+        ]
+        for condition in ("baseline", "context_only", "oracle"):
+            for seed in range(1, 6):
+                code = main([
+                    "eval", *files, "--condition", condition,
+                    "--mock-mode", "noisy", "--p-correct", "0.5",
+                    "--p-hallucinate", "0.4", "--seed", str(seed),
+                    "--output", str(log),
+                ])
+                out = capsys.readouterr().out
+                runs.append(out + str(code) + log.read_text("utf-8"))
+    digest = hashlib.sha256("".join(runs).encode("utf-8")).hexdigest()[:16]
+    assert digest == "9637bcb314501461"
 
 
 def test_eval_with_failed_items_is_exit_4(tmp_path, capsys, monkeypatch):

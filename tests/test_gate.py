@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from factgate.constraints import parse_manifest, validate_claim
+from factgate.constraints import parse_manifest, validate_claim, validate_graph
 from factgate.evaluation import load_dataset, mock_factory
 from factgate.extraction import Claim, build_lexicon, parse_rules
 from factgate.gate import (
@@ -376,12 +376,17 @@ def test_capped_context_keeps_the_full_graph_verdict(monkeypatch, answer, verdic
     assert json.loads(capped)["verdict"] == verdict.value
 
 
+def _generate(monkeypatch):
+    """bench/scaledrivers.py's `generate`, which writes a benchmark
+    workload's inputs."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+    return importlib.import_module("scaledrivers").generate
+
+
 def _benchmark_inputs(qa, tmp_path, monkeypatch):
     """The graph, lexicon, rules and 200 items of a benchmark workload's
     seed-1 inputs (qa "ask" or "eval"), as bench/scaledrivers.py writes them."""
-    monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
-    generate = importlib.import_module("scaledrivers").generate
-    generate(1, 10_000, qa, 200).write(tmp_path)
+    _generate(monkeypatch)(1, 10_000, qa, 200).write(tmp_path)
     graph = parse_ntriples((tmp_path / "graph.nt").read_text("utf-8"))
     rules = parse_rules((FIXTURES / "rivers" / "rules.txt").read_text("utf-8"))
     lexicon = build_lexicon(graph, [Iri("label")])
@@ -441,3 +446,17 @@ def test_benchmark_contexts_are_unchanged(qa, max_hops, digest, tmp_path, monkey
         for item in items
     )
     assert _digest(contexts) == digest
+
+
+# The report of a whole-graph validation of the seed-1 `validate_50k` graph,
+# ~50k triples with 0.5 % of its rivers planted dirty, as one sha256 prefix
+# of its verdict and violations.
+def test_benchmark_validation_report_is_unchanged(tmp_path, monkeypatch):
+    _generate(monkeypatch)(1, 50_000, None, 0, 0.005).write(tmp_path)
+    graph = parse_ntriples((tmp_path / "graph.nt").read_text("utf-8"))
+    manifest = (FIXTURES / "rivers" / "constraints.txt").read_text("utf-8")
+    report = validate_graph(graph, parse_manifest(manifest))
+    assert len(report.violations) == 29
+    text = repr(report.conforms) + "\n"
+    text += "".join(repr(v) + "\n" for v in report.violations)
+    assert _digest(text) == "48644f0891e13e0f"

@@ -625,16 +625,22 @@ def test_match_agrees_with_scan_on_random_patterns(seed):
     from conftest import random_graph
 
     rng = random.Random(seed)
-    g = random_graph(rng, 60)
+    # "sink" is an object and never a subject: a node with no subject run.
+    sink = Iri("sink")
+    g = Graph([*random_graph(rng, 60), Triple(Iri("e3"), Iri("p1"), sink)])
     terms: list = [
         None,
         Iri("e1"),
         Iri("e3"),
+        sink,
         lit(str(rng.randint(0, 500))),
         Literal("e1", Datatype.STRING),
     ]
-    for s in [None, Iri("e0"), Iri("e5")]:
-        for p in [Iri("p0"), Iri("p2"), Iri("absent")]:
+    # Every subject, the first and last runs included; no triple names e12.
+    subjects = [None, sink, *(Iri(f"e{i}") for i in range(13))]
+    predicates = [*(Iri(f"p{i}") for i in range(4)), Iri("absent")]
+    for s in subjects:
+        for p in predicates:
             for o in terms:
                 got = g.match(s=s, p=p, o=o)
                 assert list(map(triple_to_ntriples, got)) == list(
@@ -643,14 +649,14 @@ def test_match_agrees_with_scan_on_random_patterns(seed):
 
 
 @pytest.mark.parametrize("seed", [3, 17, 99])
-def test_holds_is_contains_for_iri_objects(seed):
+def test_subjects_of_is_contains_for_iri_objects(seed):
     from conftest import random_graph
 
     g = random_graph(random.Random(seed), 60)
     nodes = [Iri(f"e{i}") for i in range(13)]  # no triple names e12
     predicates = [Iri(f"p{i}") for i in range(5)]  # nor p4
     answers = [
-        (g.holds(s, p, o), g.contains(Triple(s, p, o)))
+        (s.value in g.subjects_of(p, o), g.contains(Triple(s, p, o)))
         for s in nodes
         for p in predicates
         for o in nodes
