@@ -43,8 +43,8 @@ from .kg import (
     Triple,
     content_lines,
     decimal_lexical,
+    iter_lines,
     parse_kv,
-    split_lines,
     take_decimal,
     take_iri,
     term_matches,
@@ -379,7 +379,7 @@ def parse_manifest(text: str) -> ConstraintSet:
     """Parse a constraint manifest: one `<id> <kind> key=value ...` per line."""
     constraints: list[Constraint] = []
     seen_ids: set[str] = set()
-    for number, line in content_lines(split_lines(text)):
+    for number, line in content_lines(iter_lines(text)):
         tokens = line.split()
         if len(tokens) < 2:
             raise ParseError(number, "expected `<id> <kind> key=value ...`")

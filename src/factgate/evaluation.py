@@ -42,9 +42,9 @@ from .kg import (
     ParseError,
     Triple,
     decimal_lexical,
+    iter_lines,
     parse_ntriples_line,
     read_utf8,
-    split_lines,
 )
 
 T = TypeVar("T")
@@ -217,7 +217,7 @@ def _read_jsonl(
     at its line."""
     values: list[T] = []
     seen: set[str] = set()
-    for number, raw in enumerate(split_lines(read_utf8(path)), start=1):
+    for number, raw in enumerate(iter_lines(read_utf8(path)), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -30,9 +30,9 @@ from .kg import (
     Triple,
     content_lines,
     decimal_lexical,
+    iter_lines,
     parse_decimal,
     parse_kv,
-    split_lines,
     take_decimal,
     take_iri,
     take_param,
@@ -384,7 +384,7 @@ def parse_rules(text: str) -> list[PredicateRule]:
     """
     rules: list[PredicateRule] = []
     seen: set[str] = set()
-    for number, line in content_lines(split_lines(text)):
+    for number, line in content_lines(iter_lines(text)):
         m = _RULE_LINE_RE.match(line)
         if m is None:
             raise ParseError(number, 'expected `<id> "<pattern>" key=value ...`')

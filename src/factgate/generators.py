@@ -143,9 +143,10 @@ def mock_generator(
     """Bind a MockBehavior into the pipeline's generator signature.
 
     Generation is deterministic. ECHO_CONTEXT verbalizes the first context
-    line, in text order, that any rule can render; the context is read one
-    line at a time, so lines after that one are neither split nor parsed,
-    and a malformed line before it raises ParseError at its line number.
+    line, in text order, that any rule can render; the context is read
+    through iter_lines, one small chunk of lines at a time, so lines past
+    that one's chunk are neither split nor parsed, and a malformed line
+    before it raises ParseError at its line number.
     FIXED_ANSWER returns the answer key verbatim. NOISY draws from a stream
     keyed by (seed, question): the answer key with p_correct, a corrupted
     number variant with p_hallucinate, otherwise "I don't know". Binding

@@ -8,8 +8,9 @@ given subject or object, and what lies within k hops of some entities.
 
 A parse checks each distinct object token once, and a plain token (an IRI,
 or a quoted literal with no suffix or escape) is its own N-Triples text.
-The store is built with the cyclic garbage collector paused, and the
-collector is restored as found when the build ends, on error too.
+Its peak memory is about what the store keeps. The store is built with
+the cyclic garbage collector paused, and the collector is restored as
+found when the build ends, on error too.
 """
 
 from __future__ import annotations
@@ -236,7 +237,10 @@ class _TermTable:
     (term_to_ntriples), and `objects` that text to the term. An object
     token is parsed, checked and given its text in one pass, on its first
     occurrence only, and two spellings of one term (`"5"`,
-    `"5"^^<...#decimal>`) give one text and one term object."""
+    `"5"^^<...#decimal>`) give one text and one term object. `texts` is
+    emptied once the text is read, and the build empties the other two once
+    the triples are made: the terms live on in the triples, and the tables
+    never beside the store's indexes."""
 
     def __init__(self) -> None:
         self.iris = _IriTable()
@@ -247,7 +251,7 @@ class _TermTable:
         """(subject, predicate, object text) of each content line, in text
         order; a malformed line raises a ParseError when it is reached."""
         iri, texts = self.iris.__getitem__, self.texts
-        for number, line in content_lines(split_lines(text)):
+        for number, line in content_lines(iter_lines(text)):
             m = _LINE_RE.match(line)
             try:
                 if m is None:
@@ -257,6 +261,7 @@ class _TermTable:
             except ValueError as exc:
                 raise ParseError(number, str(exc)) from exc
             yield key
+        texts.clear()
 
     def _text(self, token: str) -> str:
         term, text = _parse_object(token, self.iris.__getitem__)
@@ -265,37 +270,41 @@ class _TermTable:
         return text
 
 
-def split_lines(text: str) -> list[str]:
-    """The lines of a line-oriented input. A line ends only at a line feed,
-    a carriage return or the two together, never at U+2028 or the other
-    characters str.splitlines() also breaks at, which a literal or a JSON
-    string may hold raw."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+# iter_lines splits this many characters at a time, and the rest of the line
+# they end in.
+_CHUNK = 1024
 
 
 def iter_lines(text: str) -> Iterator[str]:
-    """The lines of split_lines(text), one at a time: a reader that stops
+    """The lines of a line-oriented input, one at a time. A line ends only
+    at a line feed, a carriage return or the two together, never at U+2028
+    or the other characters str.splitlines() also breaks at, which a
+    literal or a JSON string may hold raw. The text is split one chunk at
+    a time, the next _CHUNK characters and the rest of the line they end
+    in: a reader holds the lines of one chunk at most, and one that stops
     early neither splits nor copies the rest of the text."""
     start = 0
-    while (end := text.find("\n", start)) >= 0:
-        line, start = text[start:end], end + 1
-        if "\r" in line:  # a CR ends a line too; one just before the LF is CRLF
-            yield from line.removesuffix("\r").split("\r")
-        else:
-            yield line
-    yield from text[start:].split("\r")
+    while (end := text.find("\n", start + _CHUNK)) >= 0:
+        # A CR just before the LF that ends the chunk is one CRLF with it.
+        yield from _split_chunk(text[start:end].removesuffix("\r"))
+        start = end + 1
+    yield from _split_chunk(text[start:])
+
+
+def _split_chunk(chunk: str) -> list[str]:
+    if "\r" in chunk:
+        chunk = chunk.replace("\r\n", "\n").replace("\r", "\n")
+    return chunk.split("\n")
 
 
 def read_utf8(path: str | Path) -> str:
     """The text of an input file; a byte that is not UTF-8 is a ParseError
-    at its line, counted as split_lines counts."""
+    at its line, counted as iter_lines counts."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len(split_lines(data[: exc.start].decode("utf-8")))
+        line = sum(1 for _ in iter_lines(data[: exc.start].decode("utf-8")))
         raise ParseError(
             line, f"byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
         ) from exc
@@ -303,9 +312,8 @@ def read_utf8(path: str | Path) -> str:
 
 def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) for each of the lines of a line-oriented
-    input that is neither blank nor a `#` comment. A reader of the whole
-    text passes split_lines(text), one fast split; a reader that stops early
-    passes iter_lines(text), the same lines read only as far as it reads."""
+    input, such as iter_lines(text), that is neither blank nor a `#`
+    comment."""
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
@@ -316,13 +324,15 @@ def parse_ntriples(text: str) -> "Graph":
     """Parse N-Triples text into a Graph.
 
     Duplicate triples are deduplicated. Any malformed line aborts the
-    whole parse with a ParseError carrying its line number. The lines are
-    read into string keys (see Graph); no `Triple` is made before the keys
-    are deduplicated and sorted. Each distinct object token is parsed and
-    checked once, and a plain token (an IRI, or a quoted literal with no
-    datatype suffix and nothing to escape) is its own text. The reading and
-    the build run with the cyclic garbage collector paused; it is restored
-    as found when they end, also when a line is malformed.
+    whole parse with a ParseError carrying its line number. The text is
+    read through iter_lines, one chunk of lines at a time, into string keys
+    (see Graph); no `Triple` is made before the keys are sorted and a
+    repeat dropped, and each distinct key then becomes its `Triple` in
+    place. Each distinct object token is parsed and checked once, and a
+    plain token (an IRI, or a quoted literal with no datatype suffix and
+    nothing to escape) is its own text. The reading and the build run with
+    the cyclic garbage collector paused; it is restored as found when they
+    end, also when a line is malformed.
     """
     table = _TermTable()
     graph = Graph.__new__(Graph)
@@ -403,8 +413,8 @@ class Graph:
     position in that order). The order is that of the (subject, predicate,
     object text) string keys, the object text being term_to_ntriples of the
     object. One build serves `Graph(triples)` and parse_ntriples alike: it
-    deduplicates and sorts those keys as strings and makes each Triple after
-    that, from tables mapping the strings to terms. One index keyed by IRI
+    sorts those keys as strings, drops repeats, then puts each Triple in its
+    key's place, from tables mapping strings to terms. One index keyed by IRI
     strings, predicate -> triples, backs match's (p) lookup. Every IRI node
     (a subject or an IRI object) gets a dense integer id at build, through
     one string -> id table. Indexed by node id, the store keeps the node's
@@ -433,25 +443,29 @@ class Graph:
     def __init__(self, triples: Iterable[Triple] = ()):
         iris: dict[str, Iri] = {}
         objects: dict[str, Term] = {}
-        keys = []
-        for t in triples:
-            s, p, text = t.subject, t.predicate, term_to_ntriples(t.object)
-            iris.setdefault(s.value, s)
-            iris.setdefault(p.value, p)
-            objects.setdefault(text, t.object)
-            keys.append((s.value, p.value, text))
-        self._index(keys, iris, objects)
+
+        def keys() -> Iterator[tuple[str, str, str]]:
+            for t in triples:
+                s, p, text = t.subject, t.predicate, term_to_ntriples(t.object)
+                iris.setdefault(s.value, s)
+                iris.setdefault(p.value, p)
+                objects.setdefault(text, t.object)
+                yield s.value, p.value, text
+
+        self._index(keys(), iris, objects)
 
     def _index(
         self,
-        keys: Iterable[tuple[str, str, str]],
+        keys: Iterator[tuple[str, str, str]],
         iris: dict[str, Iri],
         objects: dict[str, Term],
     ) -> None:
         """The one build, from (subject, predicate, object text) keys and
-        the term tables that map those strings to terms. The keys are
-        deduplicated and sorted as strings; each Triple is made after that,
-        once per distinct key."""
+        the term tables, filled as the keys are read, that map those strings
+        to terms. The keys are sorted in read order, which timsort takes in
+        runs, and a repeat, now next to its equal, is dropped. Each distinct
+        key becomes its Triple in place, and the tables are emptied before
+        the indexes grow."""
         # A build makes several objects per triple and no cycle, so a
         # collection in it would only walk them: the collector is paused,
         # not frozen, and left as it was found. The collector is process
@@ -460,13 +474,18 @@ class Graph:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            keys = sorted(set(keys))
-            triples = self._triples = [
-                _triple(iris[s], iris[p], objects[o]) for s, p, o in keys
-            ]
-            # Drop the keys before the indexes grow: the two never coexist,
-            # which keeps the build's peak memory down.
-            del keys
+            triples = self._triples = list(keys)
+            triples.sort()
+            size = 0
+            last = None
+            for key in triples:
+                if key != last:
+                    s, p, o = last = key
+                    triples[size] = _triple(iris[s], iris[p], objects[o])
+                    size += 1
+            del triples[size:]
+            iris.clear()
+            objects.clear()
             pos: dict[str, list[Triple]] = {}
             ids: dict[str, int] = {}
             subject_runs: list[tuple[int, int]] = []

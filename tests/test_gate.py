@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -393,6 +394,23 @@ def _benchmark_inputs(qa, tmp_path, monkeypatch):
     items = load_dataset(tmp_path / "qa.jsonl")
     assert len(items) == 200
     return graph, lexicon, rules, items
+
+
+def test_parse_peaks_at_about_the_graph_it_keeps(tmp_path, monkeypatch):
+    # The parse holds no list of lines, no set of keys and no key beside
+    # its triple, and drops its term tables before the indexes grow: its
+    # traced peak is about what the graph keeps once it returns.
+    _generate(monkeypatch)(1, 10_000, None, 0).write(tmp_path)
+    text = (tmp_path / "graph.nt").read_text("utf-8")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        graph = parse_ntriples(text)
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(graph) > 9_000
+    assert peak <= 1.1 * kept, (peak, kept)
 
 
 def _digest(text: str) -> str:

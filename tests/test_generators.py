@@ -25,7 +25,7 @@ from factgate.generators import (
     corrupt_number,
     mock_generator,
 )
-from factgate.kg import Iri, ParseError, content_lines, split_lines
+from factgate.kg import Iri, ParseError, content_lines, iter_lines
 
 from conftest import FIXTURES, REPO_ROOT
 
@@ -81,11 +81,12 @@ def test_echo_takes_first_renderable_line_in_text_order():
     ["# retrieved\r\n\r\n", "# retrieved\r\r", "# retrieved\r\n\r", "\r\r\n\n"],
 )
 def test_echo_counts_lines_as_the_whole_text_readers_do(head):
-    # The echo reads its context lazily; a malformed line is reported at
-    # the number that content_lines over split_lines gives it.
+    # The echo stops reading early; a malformed line is reported at the
+    # number that content_lines over iter_lines gives it, as in every
+    # reader of a whole text.
     behavior = MockBehavior(MockMode.ECHO_CONTEXT)
     context = head + "<broken\r\n" + CONTEXT
-    (expected, line), *_ = content_lines(split_lines(context))
+    (expected, line), *_ = content_lines(iter_lines(context))
     assert line == "<broken"
     with pytest.raises(ParseError) as err:
         mock_generator(behavior, rules=[LENGTH_RULE])("q?", context)

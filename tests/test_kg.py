@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +34,6 @@ from factgate.kg import (
     retrieve_subgraph,
     Subgraph,
     serialize_ntriples,
-    split_lines,
     term_to_ntriples,
     triple_sort_key,
     triple_to_ntriples,
@@ -206,9 +206,16 @@ def test_lines_end_only_at_newlines():
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.text(alphabet="\r\na \x0b\x0c\x1c\x85\u2028\u2029", max_size=16))
-def test_lazy_lines_are_the_split_lines(text):
-    assert list(iter_lines(text)) == split_lines(text)
+@given(
+    st.text(alphabet="\r\na \x0b\x0c\x1c\x85\u2028\u2029", max_size=16),
+    st.integers(1, 3),
+)
+def test_chunked_lines_end_at_lf_cr_and_crlf(text, chunk):
+    # Chunks of a few characters put chunk edges all through a short text,
+    # between the CR and the LF of a CRLF too.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("factgate.kg._CHUNK", chunk)
+        assert list(iter_lines(text)) == re.split(r"\r\n|\r|\n", text)
 
 
 def test_parse_explicit_datatypes_and_escapes():
@@ -302,17 +309,26 @@ def _ntriples_lines(draw):
     """A line break and N-Triples lines over _LINE_IRIS and _LINE_TERMS,
     each with what it reads as: repeated triples, some respelled, padding,
     blank and comment lines (None), and maybe one malformed line (the
-    reason it is rejected)."""
+    reason it is rejected). The triples come shuffled, grouped by subject
+    as a dump groups them, or fully sorted, so a repeat lies next to its
+    first occurrence or far from it."""
     iri = st.sampled_from(_LINE_IRIS)
-    row = st.tuples(iri, iri, st.sampled_from(list(_LINE_TERMS)))
+    predicate = st.sampled_from([*_LINE_IRIS, RDF_TYPE.value])
+    row = st.tuples(iri, predicate, st.sampled_from(list(_LINE_TERMS)))
     rows = draw(st.lists(row, max_size=20))
     if rows:
-        again = draw(st.lists(st.sampled_from(rows), max_size=6))
-        rows += [(s, p, _RESPELLED.get(o, o)) for s, p, o in again]
+        for s, p, o in draw(st.lists(st.sampled_from(rows), max_size=6)):
+            respell = draw(st.booleans())
+            rows.append((s, p, _RESPELLED.get(o, o) if respell else o))
+    order = draw(st.sampled_from(["shuffled", "by subject", "sorted"]))
+    if order == "shuffled":
+        rows = draw(st.permutations(rows))
+    else:
+        rows.sort(key=itemgetter(0) if order == "by subject" else None)
     sep = st.sampled_from([" ", "\t", "  "])
     pad = st.sampled_from(["", " "])
     lines = []
-    for s, p, o in draw(st.permutations(rows)):
+    for s, p, o in rows:
         a, b, c, d = draw(sep), draw(sep), draw(pad), draw(pad)
         triple = Triple(Iri(s), Iri(p), _LINE_TERMS[o])
         lines.append((f"{d}<{s}>{a}<{p}>{b}{o}{c}.{d}", triple))
@@ -352,6 +368,9 @@ def test_parse_agrees_with_the_per_line_reader(case):
         graph = parse_ntriples(text)
         want = sorted(set(expected), key=triple_sort_key)
         assert list(map(_fields, graph)) == list(map(_fields, want))
+        built = Graph(expected)
+        for index in ("_ids", "_runs", "_in", "_subjects", "_objects", "_hubs"):
+            assert getattr(graph, index) == getattr(built, index), index
     else:
         with pytest.raises(ParseError) as err:
             parse_ntriples(text)
